@@ -20,11 +20,11 @@ use glint_core::detector::{Degradation, GlintDetector, SITE_CLASSIFY};
 use glint_core::drift::{DriftDetector, T_MAD};
 use glint_failpoint::{Action, ScopedFail};
 use glint_gnn::batch::PreparedGraph;
-use glint_gnn::models::{GraphModel, ModelOutput};
+use glint_gnn::models::{GraphModel, InferOutput, ModelOutput};
 use glint_graph::graph::Node;
 use glint_graph::InteractionGraph;
 use glint_rules::{Platform, RuleId};
-use glint_tensor::{Matrix, ParamSet, Tape, Var};
+use glint_tensor::{InferCtx, Matrix, ParamSet, Tape, Var};
 
 /// The seven-point single-class fixture.
 fn seven_point_detector() -> DriftDetector {
@@ -154,6 +154,12 @@ impl GraphModel for FixedEmbedder {
             embedding: tape.var(Matrix::from_rows(&[vec![self.value]])),
             logits: tape.var(Matrix::from_rows(&[vec![0.0, 0.0]])),
             aux_loss: None,
+        }
+    }
+    fn forward_infer(&self, _ctx: &mut InferCtx, _g: &PreparedGraph) -> InferOutput {
+        InferOutput {
+            embedding: Matrix::from_rows(&[vec![self.value]]),
+            logits: Matrix::from_rows(&[vec![0.0, 0.0]]),
         }
     }
 }

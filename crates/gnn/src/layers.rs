@@ -1,10 +1,12 @@
 //! GNN layers: GCN, GIN, and TAG convolutions plus graph readouts.
 //!
-//! Each layer owns [`ParamId`]s into the model's [`ParamSet`]; `forward`
-//! receives the tape and the vars bound from that set this pass.
+//! Each layer owns [`ParamId`]s into the model's [`ParamSet`] and writes
+//! its forward pass once, generic over the [`Exec`] executor: the same
+//! body records onto the tape for training and runs the pooled kernels for
+//! serving.
 
 use glint_tensor::optim::ParamId;
-use glint_tensor::{infer, init, Csr, InferCtx, Matrix, ParamSet, Tape, Var};
+use glint_tensor::{init, Csr, Exec, Matrix, ParamSet};
 use rand::rngs::StdRng;
 
 /// GCN layer: `H' = Â H W + b` (activation applied by the caller).
@@ -30,22 +32,10 @@ impl GcnLayer {
         Self { w, b }
     }
 
-    pub fn forward(&self, tape: &mut Tape, vars: &[Var], adj_norm: &Csr, h: Var) -> Var {
-        let prop = tape.spmm(adj_norm, h);
-        tape.linear(prop, vars[self.w.0], vars[self.b.0])
-    }
-
-    /// Tape-free forward: same kernels, pooled buffers, no autograd nodes.
-    pub fn forward_infer(
-        &self,
-        ctx: &mut InferCtx,
-        params: &ParamSet,
-        adj_norm: &Csr,
-        h: &Matrix,
-    ) -> Matrix {
-        let prop = ctx.spmm(adj_norm, h);
-        let out = ctx.linear(&prop, params.get(self.w), params.get(self.b));
-        ctx.release(prop);
+    pub fn forward<X: Exec>(&self, x: &mut X, adj_norm: &Csr, h: &X::T) -> X::T {
+        let prop = x.spmm(adj_norm, h);
+        let out = x.linear(&prop, self.w, self.b);
+        x.release(prop);
         out
     }
 }
@@ -88,41 +78,14 @@ impl GinLayer {
         }
     }
 
-    pub fn forward(&self, tape: &mut Tape, vars: &[Var], adj_sum: &Csr, h: Var) -> Var {
-        let neigh = tape.spmm(adj_sum, h);
-        // (1 + ε)·h: scale h by scalar var via weighted_sum
-        let one_plus_eps = {
-            let one = tape.constant(Matrix::full(1, 1, 1.0));
-            tape.add(vars[self.eps.0], one)
-        };
-        let scaled_self = tape.weighted_sum(&[h], one_plus_eps);
-        let agg = tape.add(scaled_self, neigh);
-        let z1 = tape.linear(agg, vars[self.w1.0], vars[self.b1.0]);
-        let a1 = tape.relu(z1);
-        tape.linear(a1, vars[self.w2.0], vars[self.b2.0])
-    }
-
-    /// Tape-free forward: the `(1 + ε)·h + Σ_u h_u` aggregation runs as a
-    /// zeroed-accumulator axpy plus an in-place add (the exact f32 sequence
-    /// of the tape's `weighted_sum` + `add`), and the first MLP layer fuses
-    /// bias + ReLU into one pass.
-    pub fn forward_infer(
-        &self,
-        ctx: &mut InferCtx,
-        params: &ParamSet,
-        adj_sum: &Csr,
-        h: &Matrix,
-    ) -> Matrix {
-        let neigh = ctx.spmm(adj_sum, h);
-        let one_plus_eps = params.get(self.eps).get(0, 0) + 1.0;
-        let mut agg = ctx.acquire(h.rows(), h.cols());
-        agg.axpy(one_plus_eps, h);
-        infer::add_assign(&mut agg, &neigh);
-        ctx.release(neigh);
-        let a1 = ctx.linear_relu(&agg, params.get(self.w1), params.get(self.b1));
-        ctx.release(agg);
-        let out = ctx.linear(&a1, params.get(self.w2), params.get(self.b2));
-        ctx.release(a1);
+    pub fn forward<X: Exec>(&self, x: &mut X, adj_sum: &Csr, h: &X::T) -> X::T {
+        let neigh = x.spmm(adj_sum, h);
+        let scaled_self = x.scale_one_plus(h, self.eps);
+        let agg = x.add(scaled_self, neigh);
+        let a1 = x.linear_relu(&agg, self.w1, self.b1);
+        x.release(agg);
+        let out = x.linear(&a1, self.w2, self.b2);
+        x.release(a1);
         out
     }
 }
@@ -132,7 +95,10 @@ impl GinLayer {
 #[derive(Clone, Debug)]
 pub struct TagConv {
     pub k: usize,
-    ws: Vec<ParamId>,
+    /// `W_0`, applied to `H` itself.
+    w0: ParamId,
+    /// `W_1..W_K`, one per hop.
+    hops: Vec<ParamId>,
     b: ParamId,
 }
 
@@ -145,57 +111,37 @@ impl TagConv {
         k: usize,
         rng: &mut StdRng,
     ) -> Self {
-        let ws = (0..=k)
-            .map(|i| {
-                params.add(
-                    format!("{prefix}.w{i}"),
-                    init::xavier_uniform(rng, in_dim, out_dim),
-                )
-            })
-            .collect();
+        let mut weight = |i: usize| {
+            params.add(
+                format!("{prefix}.w{i}"),
+                init::xavier_uniform(rng, in_dim, out_dim),
+            )
+        };
+        let w0 = weight(0);
+        let hops = (1..=k).map(weight).collect();
         let b = params.add(format!("{prefix}.b"), Matrix::zeros(1, out_dim));
-        Self { k, ws, b }
+        Self { k, w0, hops, b }
     }
 
-    pub fn forward(&self, tape: &mut Tape, vars: &[Var], adj_norm: &Csr, h: Var) -> Var {
-        let mut power = h; // Â^0 H
-        let mut acc = tape.matmul(power, vars[self.ws[0].0]);
-        for w in &self.ws[1..] {
-            power = tape.spmm(adj_norm, power);
-            let term = tape.matmul(power, vars[w.0]);
-            acc = tape.add(acc, term);
-        }
-        tape.add_bias(acc, vars[self.b.0])
-    }
-
-    /// Tape-free forward. Each hop's term lands in a scratch buffer and is
-    /// added element-wise onto the accumulator — never fused into the matmul
-    /// reduction itself, which would reorder the floating-point sums and
-    /// break bitwise equivalence with the tape path.
-    pub fn forward_infer(
-        &self,
-        ctx: &mut InferCtx,
-        params: &ParamSet,
-        adj_norm: &Csr,
-        h: &Matrix,
-    ) -> Matrix {
-        let mut acc = ctx.matmul(h, params.get(self.ws[0]));
-        let mut power: Option<Matrix> = None; // Â^k H for k >= 1
-        for w in &self.ws[1..] {
-            let next = ctx.spmm(adj_norm, power.as_ref().unwrap_or(h));
+    /// Each hop's term is added onto the accumulator element-wise — never
+    /// fused into the matmul reduction itself, which would reorder the
+    /// floating-point sums.
+    pub fn forward<X: Exec>(&self, x: &mut X, adj_norm: &Csr, h: &X::T) -> X::T {
+        let mut acc = x.matmul_w(h, self.w0);
+        let mut power: Option<X::T> = None; // Â^k H for k >= 1
+        for &w in &self.hops {
+            let next = x.spmm(adj_norm, power.as_ref().unwrap_or(h));
             if let Some(prev) = power.take() {
-                ctx.release(prev);
+                x.release(prev);
             }
-            let term = ctx.matmul(&next, params.get(*w));
-            infer::add_assign(&mut acc, &term);
-            ctx.release(term);
+            let term = x.matmul_w(&next, w);
+            acc = x.add(acc, term);
             power = Some(next);
         }
         if let Some(p) = power {
-            ctx.release(p);
+            x.release(p);
         }
-        acc.add_row_broadcast_inplace(params.get(self.b));
-        acc
+        x.add_bias(acc, self.b)
     }
 }
 
@@ -222,47 +168,45 @@ impl Dense {
         Self { w, b }
     }
 
-    pub fn forward(&self, tape: &mut Tape, vars: &[Var], x: Var) -> Var {
-        tape.linear(x, vars[self.w.0], vars[self.b.0])
-    }
-
-    /// Tape-free affine layer.
-    pub fn forward_infer(&self, ctx: &mut InferCtx, params: &ParamSet, x: &Matrix) -> Matrix {
-        ctx.linear(x, params.get(self.w), params.get(self.b))
+    pub fn forward<X: Exec>(&self, x: &mut X, h: &X::T) -> X::T {
+        x.linear(h, self.w, self.b)
     }
 }
 
 /// Mean ‖ max readout: n × d → 1 × 2d.
-pub fn readout_mean_max(tape: &mut Tape, h: Var) -> Var {
-    let mean = tape.mean_rows(h);
-    let max = tape.max_rows(h);
-    tape.concat_cols(mean, max)
-}
-
-/// Tape-free mean ‖ max readout.
-pub fn readout_mean_max_infer(ctx: &mut InferCtx, h: &Matrix) -> Matrix {
-    let mean = ctx.mean_rows(h);
-    let max = ctx.max_rows(h);
-    let out = ctx.concat_cols(&mean, &max);
-    ctx.release(mean);
-    ctx.release(max);
+pub fn readout_mean_max<X: Exec>(x: &mut X, h: &X::T) -> X::T {
+    let mean = x.mean_rows(h);
+    let max = x.max_rows(h);
+    let out = x.concat_cols(&mean, &max);
+    x.release(mean);
+    x.release(max);
     out
 }
 
 /// Sum readout (GIN convention): n × d → 1 × d.
-pub fn readout_sum(tape: &mut Tape, h: Var) -> Var {
-    tape.sum_rows_readout(h)
+pub fn readout_sum<X: Exec>(x: &mut X, h: &X::T) -> X::T {
+    x.sum_rows(h)
 }
 
-/// Tape-free sum readout.
-pub fn readout_sum_infer(ctx: &mut InferCtx, h: &Matrix) -> Matrix {
-    ctx.sum_rows(h)
+/// Append readout `r` to the running concatenation `acc` (the multi-scale
+/// and per-layer readout chains of ITGNN and GIN).
+pub fn concat_readout<X: Exec>(x: &mut X, acc: Option<X::T>, r: X::T) -> X::T {
+    match acc {
+        Some(prev) => {
+            let cc = x.concat_cols(&prev, &r);
+            x.release(prev);
+            x.release(r);
+            cc
+        }
+        None => r,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use glint_tensor::grad_check::check_gradients;
+    use glint_tensor::{Tape, TapeExec};
     use rand::SeedableRng;
 
     fn path_adj(n: usize) -> Csr {
@@ -281,8 +225,9 @@ mod tests {
             let layer = GcnLayer::new(&mut params, "gcn", 3, 2, &mut r);
             let vars = params.bind(tape);
             let h = tape.var(ins[0].clone());
-            let out = layer.forward(tape, &vars, &adj, h);
-            let red = readout_mean_max(tape, out);
+            let mut x = TapeExec::new(tape, &vars);
+            let out = layer.forward(&mut x, &adj, &h);
+            let red = readout_mean_max(&mut x, &out);
             let loss = tape.mean_all(red);
             (loss, vec![h])
         });
@@ -307,8 +252,9 @@ mod tests {
             let mut tape = Tape::new();
             let vars = params.bind(&mut tape);
             let h = tape.constant(feats.clone());
-            let out = layer.forward(&mut tape, &vars, &adj, h);
-            let red = readout_sum(&mut tape, out);
+            let mut x = TapeExec::new(&mut tape, &vars);
+            let out = layer.forward(&mut x, &adj, &h);
+            let red = readout_sum(&mut x, &out);
             tape.value(red).clone()
         };
         let triangle = run(&[(0, 1), (1, 2), (2, 0)]);
@@ -329,7 +275,7 @@ mod tests {
         let mut tape = Tape::new();
         let vars = params.bind(&mut tape);
         let h = tape.constant(x.clone());
-        let out = conv.forward(&mut tape, &vars, &adj, h);
+        let out = conv.forward(&mut TapeExec::new(&mut tape, &vars), &adj, &h);
         // K=0: no propagation — output is x·W0 + b
         let w0 = params.get(glint_tensor::ParamId(0)).clone();
         let expected = x.matmul(&w0);
@@ -346,7 +292,7 @@ mod tests {
             let mut tape = Tape::new();
             let vars = params.bind(&mut tape);
             let h = tape.constant(x);
-            let out = conv.forward(&mut tape, &vars, &adj, h);
+            let out = conv.forward(&mut TapeExec::new(&mut tape, &vars), &adj, &h);
             tape.value(out).clone()
         };
         let base = run(Matrix::from_rows(&[

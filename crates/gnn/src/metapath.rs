@@ -6,7 +6,7 @@
 use crate::batch::PreparedGraph;
 use glint_rules::Platform;
 use glint_tensor::optim::ParamId;
-use glint_tensor::{infer, init, InferCtx, Matrix, ParamSet, Tape, Var};
+use glint_tensor::{init, Exec, Matrix, ParamSet};
 use rand::rngs::StdRng;
 
 /// The encoder: per-platform projections + shared attention parameters.
@@ -68,43 +68,8 @@ impl MetapathEncoder {
 
     /// Project per-type features into the shared space and scatter them into
     /// an n × hidden matrix.
-    pub fn project(&self, tape: &mut Tape, vars: &[Var], g: &PreparedGraph) -> Var {
-        let mut acc: Option<Var> = None;
-        for block in &g.by_type {
-            let w = self
-                .projections
-                .iter()
-                .find(|(p, _)| *p == block.platform)
-                // a block with no projection is a model-construction bug
-                // (projections cover every platform at build time); the
-                // detector's degradation layer quarantines the panic to the
-                // offending graph
-                .unwrap_or_else(|| panic!("no projection for {:?}", block.platform))
-                .1;
-            let x = tape.constant(block.feats.clone());
-            let projected = tape.matmul(x, vars[w.0]); // k × hidden
-            let scattered = tape.spmm(&block.select, projected); // n × hidden
-            acc = Some(match acc {
-                Some(a) => tape.add(a, scattered),
-                None => scattered,
-            });
-        }
-        // PreparedGraph construction always emits at least one type block
-        // for a non-empty graph, and empty graphs are rejected before
-        // projection
-        acc.expect("graph has at least one type block")
-    }
-
-    /// Tape-free projection/scatter — same kernels as [`project`](Self::project),
-    /// but the per-block features feed the matmul directly instead of being
-    /// cloned onto a tape first.
-    pub fn project_infer(
-        &self,
-        ctx: &mut InferCtx,
-        params: &ParamSet,
-        g: &PreparedGraph,
-    ) -> Matrix {
-        let mut acc: Option<Matrix> = None;
+    pub fn project<X: Exec>(&self, x: &mut X, g: &PreparedGraph) -> X::T {
+        let mut acc: Option<X::T> = None;
         for block in &g.by_type {
             let w = self
                 .projections
@@ -116,15 +81,11 @@ impl MetapathEncoder {
                 // the panic to the offending graph
                 .unwrap_or_else(|| panic!("no projection for {:?}", block.platform))
                 .1;
-            let projected = ctx.matmul(&block.feats, params.get(w)); // k × hidden
-            let scattered = ctx.spmm(&block.select, &projected); // n × hidden
-            ctx.release(projected);
+            let projected = x.input_matmul_w(&block.feats, w); // k × hidden
+            let scattered = x.spmm(&block.select, &projected); // n × hidden
+            x.release(projected);
             acc = Some(match acc {
-                Some(mut a) => {
-                    infer::add_assign(&mut a, &scattered);
-                    ctx.release(scattered);
-                    a
-                }
+                Some(a) => x.add(a, scattered),
                 None => scattered,
             });
         }
@@ -136,8 +97,8 @@ impl MetapathEncoder {
 
     /// Full metapath-based node transformation: returns n × hidden
     /// homogeneous-type node embeddings (Algorithm 2 line 13's `G_m` features).
-    pub fn forward(&self, tape: &mut Tape, vars: &[Var], g: &PreparedGraph) -> Var {
-        let h = self.project(tape, vars, g);
+    pub fn forward<X: Exec>(&self, x: &mut X, g: &PreparedGraph) -> X::T {
+        let h = self.project(x, g);
         if self.disable_intra && self.disable_inter {
             // ablation "None": raw projected features only
             return h;
@@ -155,97 +116,28 @@ impl MetapathEncoder {
         if ops.is_empty() {
             return h;
         }
-        let h_paths: Vec<Var> = ops.iter().map(|op| tape.spmm(&op.agg, h)).collect();
-        if self.disable_inter || h_paths.len() == 1 {
+        let h_paths: Vec<X::T> = ops.iter().map(|op| x.spmm(&op.agg, &h)).collect();
+        x.release(h);
+        let weights = if self.disable_inter || h_paths.len() == 1 {
             // uniform fusion
-            let w = tape.constant(Matrix::full(1, h_paths.len(), 1.0 / h_paths.len() as f32));
-            return tape.weighted_sum(&h_paths, w);
-        }
-        // inter-metapath attention: s_p = mean_v sigmoid(M h_p^v + b) over
-        // valid rows; β = softmax(q · s_p)
-        let mut scores: Option<Var> = None;
-        for (op, &hp) in ops.iter().zip(&h_paths) {
-            let valid = tape.gather_rows(hp, &op.valid_rows);
-            let z = tape.linear(valid, vars[self.att_m.0], vars[self.att_b.0]);
-            let sig = tape.sigmoid(z);
-            let s_p = tape.mean_rows(sig); // 1 × att_dim
-            let qs = tape.mul(s_p, vars[self.att_q.0]);
-            let score = tape.sum_all(qs); // 1 × 1
-            scores = Some(match scores {
-                Some(s) => tape.concat_cols(s, score),
-                None => score,
-            });
-        }
-        // the metapath set is fixed at model construction and validated
-        // non-empty there
-        let beta = tape.softmax_rows(scores.expect("at least one metapath"));
-        tape.weighted_sum(&h_paths, beta)
-    }
-
-    /// Tape-free metapath transformation mirroring [`forward`](Self::forward):
-    /// same intra-metapath aggregation and inter-metapath attention values
-    /// (the per-path attention score chain collapses to one `1 × P` buffer
-    /// filled left-to-right, exactly the layout the tape's `concat_cols`
-    /// chain produces), with the affine+sigmoid attention transform fused.
-    pub fn forward_infer(
-        &self,
-        ctx: &mut InferCtx,
-        params: &ParamSet,
-        g: &PreparedGraph,
-    ) -> Matrix {
-        let h = self.project_infer(ctx, params, g);
-        if self.disable_intra && self.disable_inter {
-            return h;
-        }
-        let ops: Vec<&crate::batch::MetapathOp> = if self.disable_intra {
-            g.metapath_ops
-                .iter()
-                .filter(|o| o.path.len() == 1)
-                .collect()
+            x.filled(1, h_paths.len(), 1.0 / h_paths.len() as f32)
         } else {
-            g.metapath_ops.iter().collect()
+            // inter-metapath attention: s_p = mean_v sigmoid(M h_p^v + b)
+            // over valid rows; β = softmax(q · s_p)
+            let scores = x.row_of_sums(ops.iter().zip(&h_paths), |x, (op, hp)| {
+                let valid = x.gather_rows(hp, &op.valid_rows);
+                let sig = x.linear_sigmoid(&valid, self.att_m, self.att_b);
+                x.release(valid);
+                let s_p = x.mean_rows(&sig); // 1 × att_dim
+                x.release(sig);
+                x.mul_w(s_p, self.att_q)
+            });
+            x.softmax_rows(scores)
         };
-        if ops.is_empty() {
-            return h;
-        }
-        let mut h_paths: Vec<Matrix> = Vec::with_capacity(ops.len());
-        for op in &ops {
-            h_paths.push(ctx.spmm(&op.agg, &h));
-        }
-        ctx.release(h);
-        if self.disable_inter || h_paths.len() == 1 {
-            // uniform fusion
-            let w = ctx.filled(1, h_paths.len(), 1.0 / h_paths.len() as f32);
-            let out = {
-                let path_refs: Vec<&Matrix> = h_paths.iter().collect();
-                ctx.weighted_sum(&path_refs, &w)
-            };
-            ctx.release(w);
-            for hp in h_paths {
-                ctx.release(hp);
-            }
-            return out;
-        }
-        let mut scores = ctx.acquire(1, ops.len());
-        for (i, (op, hp)) in ops.iter().zip(&h_paths).enumerate() {
-            let valid = ctx.gather_rows(hp, &op.valid_rows);
-            let mut sig =
-                ctx.linear_sigmoid(&valid, params.get(self.att_m), params.get(self.att_b));
-            ctx.release(valid);
-            let s_p = ctx.mean_rows(&sig); // 1 × att_dim
-            ctx.release(std::mem::replace(&mut sig, s_p));
-            infer::mul_assign(&mut sig, params.get(self.att_q));
-            scores.set(0, i, sig.sum());
-            ctx.release(sig);
-        }
-        scores.softmax_rows_inplace();
-        let out = {
-            let path_refs: Vec<&Matrix> = h_paths.iter().collect();
-            ctx.weighted_sum(&path_refs, &scores)
-        };
-        ctx.release(scores);
+        let out = x.weighted_sum(&h_paths, &weights);
+        x.release(weights);
         for hp in h_paths {
-            ctx.release(hp);
+            x.release(hp);
         }
         out
     }
@@ -257,6 +149,7 @@ mod tests {
     use glint_graph::graph::{EdgeKind, Node};
     use glint_graph::InteractionGraph;
     use glint_rules::RuleId;
+    use glint_tensor::{Tape, TapeExec};
     use rand::SeedableRng;
 
     fn hetero_graph() -> PreparedGraph {
@@ -300,7 +193,7 @@ mod tests {
         let (params, enc) = encoder(&g);
         let mut tape = Tape::new();
         let vars = params.bind(&mut tape);
-        let h = enc.project(&mut tape, &vars, &g);
+        let h = enc.project(&mut TapeExec::new(&mut tape, &vars), &g);
         assert_eq!(tape.value(h).shape(), (3, 8));
         // every row is populated (non-zero with overwhelming probability)
         for r in 0..3 {
@@ -315,7 +208,7 @@ mod tests {
         let (params, enc) = encoder(&g);
         let mut tape = Tape::new();
         let vars = params.bind(&mut tape);
-        let out = enc.forward(&mut tape, &vars, &g);
+        let out = enc.forward(&mut TapeExec::new(&mut tape, &vars), &g);
         assert_eq!(tape.value(out).shape(), (3, 8));
         assert!(tape.value(out).all_finite());
     }
@@ -327,7 +220,7 @@ mod tests {
         let run = |enc: &MetapathEncoder| {
             let mut tape = Tape::new();
             let vars = params.bind(&mut tape);
-            let out = enc.forward(&mut tape, &vars, &g);
+            let out = enc.forward(&mut TapeExec::new(&mut tape, &vars), &g);
             tape.value(out).clone()
         };
         let full = run(&enc);
@@ -352,7 +245,7 @@ mod tests {
         let (params, enc) = encoder(&g);
         let mut tape = Tape::new();
         let vars = params.bind(&mut tape);
-        let out = enc.forward(&mut tape, &vars, &g);
+        let out = enc.forward(&mut TapeExec::new(&mut tape, &vars), &g);
         let loss = tape.mean_all(out);
         let grads = tape.backward(loss);
         for (p, id) in &enc.projections {

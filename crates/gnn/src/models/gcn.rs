@@ -2,9 +2,9 @@
 //! mean‖max readout, and a linear head. Homogeneous graphs only.
 
 use crate::batch::PreparedGraph;
-use crate::layers::{readout_mean_max, readout_mean_max_infer, Dense, GcnLayer};
-use crate::models::{GraphModel, InferOutput, ModelConfig, ModelOutput};
-use glint_tensor::{infer, InferCtx, ParamSet, Tape, Var};
+use crate::layers::{readout_mean_max, Dense, GcnLayer};
+use crate::models::{embed_and_classify, GraphModel, InferOutput, ModelConfig, ModelOutput};
+use glint_tensor::{Exec, InferCtx, InferExec, ParamSet, Tape, TapeExec, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -46,6 +46,24 @@ impl GcnModel {
             embed: config.embed,
         }
     }
+
+    /// The forward pass, on either executor.
+    fn run<X: Exec>(&self, x: &mut X, g: &PreparedGraph) -> ModelOutput<X::T> {
+        let input = x.input(g.homo_features());
+        let h0 = self.l0.forward(x, &g.adj_norm, &input);
+        let a0 = x.relu(h0);
+        let h1 = self.l1.forward(x, &g.adj_norm, &a0);
+        x.release(a0);
+        let a1 = x.relu(h1);
+        let red = readout_mean_max(x, &a1);
+        x.release(a1);
+        let (embedding, logits) = embed_and_classify(x, &self.fuse, &self.head, red);
+        ModelOutput {
+            embedding,
+            logits,
+            aux_loss: None,
+        }
+    }
 }
 
 impl GraphModel for GcnModel {
@@ -66,38 +84,11 @@ impl GraphModel for GcnModel {
     }
 
     fn forward(&self, tape: &mut Tape, vars: &[Var], g: &PreparedGraph) -> ModelOutput {
-        let x = tape.constant(g.homo_features());
-        let h0 = self.l0.forward(tape, vars, &g.adj_norm, x);
-        let a0 = tape.relu(h0);
-        let h1 = self.l1.forward(tape, vars, &g.adj_norm, a0);
-        let a1 = tape.relu(h1);
-        let red = readout_mean_max(tape, a1);
-        let fused = self.fuse.forward(tape, vars, red);
-        let embedding = tape.tanh(fused);
-        let logits = self.head.forward(tape, vars, embedding);
-        ModelOutput {
-            embedding,
-            logits,
-            aux_loss: None,
-        }
+        self.run(&mut TapeExec::new(tape, vars), g)
     }
 
-    /// Tape-free serving pass (bitwise-identical values to [`forward`]).
     fn forward_infer(&self, ctx: &mut InferCtx, g: &PreparedGraph) -> InferOutput {
-        let params = &self.params;
-        let x = g.homo_features();
-        let mut h = self.l0.forward_infer(ctx, params, &g.adj_norm, &x);
-        infer::relu_inplace(&mut h);
-        let next = self.l1.forward_infer(ctx, params, &g.adj_norm, &h);
-        ctx.release(std::mem::replace(&mut h, next));
-        infer::relu_inplace(&mut h);
-        let red = readout_mean_max_infer(ctx, &h);
-        ctx.release(h);
-        let mut embedding = self.fuse.forward_infer(ctx, params, &red);
-        ctx.release(red);
-        infer::tanh_inplace(&mut embedding);
-        let logits = self.head.forward_infer(ctx, params, &embedding);
-        InferOutput { embedding, logits }
+        self.run(&mut InferExec::new(ctx, &self.params), g).into()
     }
 }
 

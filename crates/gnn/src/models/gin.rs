@@ -3,9 +3,9 @@
 //! original paper). Homogeneous graphs only.
 
 use crate::batch::PreparedGraph;
-use crate::layers::{readout_sum, readout_sum_infer, Dense, GinLayer};
-use crate::models::{GraphModel, InferOutput, ModelConfig, ModelOutput};
-use glint_tensor::{infer, InferCtx, Matrix, ParamSet, Tape, Var};
+use crate::layers::{concat_readout, readout_sum, Dense, GinLayer};
+use crate::models::{embed_and_classify, GraphModel, InferOutput, ModelConfig, ModelOutput};
+use glint_tensor::{Exec, InferCtx, InferExec, ParamSet, Tape, TapeExec, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -45,6 +45,35 @@ impl GinModel {
             embed: config.embed,
         }
     }
+
+    /// The forward pass, on either executor.
+    fn run<X: Exec>(&self, x: &mut X, g: &PreparedGraph) -> ModelOutput<X::T> {
+        let input = x.input(g.homo_features());
+        let mut h: Option<X::T> = None;
+        let mut readouts: Option<X::T> = None;
+        for layer in &self.layers {
+            let next = layer.forward(x, &g.adj_sum, h.as_ref().unwrap_or(&input));
+            if let Some(prev) = h.take() {
+                x.release(prev);
+            }
+            let next = x.relu(next);
+            let r = readout_sum(x, &next);
+            h = Some(next);
+            readouts = Some(concat_readout(x, readouts, r));
+        }
+        if let Some(last) = h {
+            x.release(last);
+        }
+        // glint-lint: allow(hot-unwrap) — layer count is a construction-time
+        // constant >= 1, so the readout accumulator is always seeded
+        let red = readouts.expect("at least one layer");
+        let (embedding, logits) = embed_and_classify(x, &self.fuse, &self.head, red);
+        ModelOutput {
+            embedding,
+            logits,
+            aux_loss: None,
+        }
+    }
 }
 
 impl GraphModel for GinModel {
@@ -65,66 +94,11 @@ impl GraphModel for GinModel {
     }
 
     fn forward(&self, tape: &mut Tape, vars: &[Var], g: &PreparedGraph) -> ModelOutput {
-        let x = tape.constant(g.homo_features());
-        let mut h = x;
-        let mut readouts: Option<Var> = None;
-        for layer in &self.layers {
-            h = layer.forward(tape, vars, &g.adj_sum, h);
-            h = tape.relu(h);
-            let r = readout_sum(tape, h);
-            readouts = Some(match readouts {
-                Some(prev) => tape.concat_cols(prev, r),
-                None => r,
-            });
-        }
-        // layer count is a construction-time constant >= 1, so the readout
-        // accumulator is always seeded
-        let red = readouts.expect("at least one layer");
-        let fused = self.fuse.forward(tape, vars, red);
-        let embedding = tape.tanh(fused);
-        let logits = self.head.forward(tape, vars, embedding);
-        ModelOutput {
-            embedding,
-            logits,
-            aux_loss: None,
-        }
+        self.run(&mut TapeExec::new(tape, vars), g)
     }
 
-    /// Tape-free serving pass (bitwise-identical values to [`forward`]).
     fn forward_infer(&self, ctx: &mut InferCtx, g: &PreparedGraph) -> InferOutput {
-        let params = &self.params;
-        let x = g.homo_features();
-        let mut h: Option<Matrix> = None;
-        let mut readouts: Option<Matrix> = None;
-        for layer in &self.layers {
-            let mut next = layer.forward_infer(ctx, params, &g.adj_sum, h.as_ref().unwrap_or(&x));
-            if let Some(prev) = h.take() {
-                ctx.release(prev);
-            }
-            infer::relu_inplace(&mut next);
-            let r = readout_sum_infer(ctx, &next);
-            h = Some(next);
-            readouts = Some(match readouts {
-                Some(prev) => {
-                    let cc = ctx.concat_cols(&prev, &r);
-                    ctx.release(prev);
-                    ctx.release(r);
-                    cc
-                }
-                None => r,
-            });
-        }
-        if let Some(last) = h {
-            ctx.release(last);
-        }
-        // glint-lint: allow(hot-unwrap) — layer count is a construction-time
-        // constant >= 1, so the readout accumulator is always seeded
-        let red = readouts.expect("at least one layer");
-        let mut embedding = self.fuse.forward_infer(ctx, params, &red);
-        ctx.release(red);
-        infer::tanh_inplace(&mut embedding);
-        let logits = self.head.forward_infer(ctx, params, &embedding);
-        InferOutput { embedding, logits }
+        self.run(&mut InferExec::new(ctx, &self.params), g).into()
     }
 }
 

@@ -3,10 +3,10 @@
 //! infomax pooling loss as its auxiliary objective.
 
 use crate::batch::PreparedGraph;
-use crate::layers::{readout_mean_max, Dense, GcnLayer};
-use crate::models::{GraphModel, ModelConfig, ModelOutput};
+use crate::layers::{concat_readout, readout_mean_max, Dense, GcnLayer};
+use crate::models::{embed_and_classify, GraphModel, InferOutput, ModelConfig, ModelOutput};
 use crate::vipool::VIPool;
-use glint_tensor::{ParamSet, Tape, Var};
+use glint_tensor::{Exec, InferCtx, InferExec, ParamSet, Tape, TapeExec, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -51,6 +51,30 @@ impl GxnModel {
             embed: config.embed,
         }
     }
+
+    /// The forward pass, on either executor.
+    fn run<X: Exec>(&self, x: &mut X, g: &PreparedGraph) -> ModelOutput<X::T> {
+        let input = x.input(g.homo_features());
+        let h0 = self.conv0.forward(x, &g.adj_norm, &input);
+        let a0 = x.relu(h0);
+        let r0 = readout_mean_max(x, &a0);
+
+        let pooled = self.pool.forward(x, &g.adj_row, &a0, g.n as u64);
+        x.release(a0);
+        let h1 = self.conv1.forward(x, &pooled.adj_norm, &pooled.h);
+        x.release(pooled.h);
+        let a1 = x.relu(h1);
+        let r1 = readout_mean_max(x, &a1);
+        x.release(a1);
+
+        let red = concat_readout(x, Some(r0), r1);
+        let (embedding, logits) = embed_and_classify(x, &self.fuse, &self.head, red);
+        ModelOutput {
+            embedding,
+            logits,
+            aux_loss: pooled.pool_loss,
+        }
+    }
 }
 
 impl GraphModel for GxnModel {
@@ -71,27 +95,11 @@ impl GraphModel for GxnModel {
     }
 
     fn forward(&self, tape: &mut Tape, vars: &[Var], g: &PreparedGraph) -> ModelOutput {
-        let x = tape.constant(g.homo_features());
-        let h0 = self.conv0.forward(tape, vars, &g.adj_norm, x);
-        let a0 = tape.relu(h0);
-        let r0 = readout_mean_max(tape, a0);
+        self.run(&mut TapeExec::new(tape, vars), g)
+    }
 
-        let pooled = self
-            .pool
-            .forward(tape, vars, &g.adj_norm, &g.adj_row, a0, g.n as u64);
-        let h1 = self.conv1.forward(tape, vars, &pooled.adj_norm, pooled.h);
-        let a1 = tape.relu(h1);
-        let r1 = readout_mean_max(tape, a1);
-
-        let red = tape.concat_cols(r0, r1);
-        let fused = self.fuse.forward(tape, vars, red);
-        let embedding = tape.tanh(fused);
-        let logits = self.head.forward(tape, vars, embedding);
-        ModelOutput {
-            embedding,
-            logits,
-            aux_loss: Some(pooled.pool_loss),
-        }
+    fn forward_infer(&self, ctx: &mut InferCtx, g: &PreparedGraph) -> InferOutput {
+        self.run(&mut InferExec::new(ctx, &self.params), g).into()
     }
 }
 

@@ -3,12 +3,12 @@
 //! learning).
 
 use crate::batch::PreparedGraph;
-use crate::layers::{readout_mean_max, Dense, GcnLayer};
+use crate::layers::{concat_readout, readout_mean_max, Dense, GcnLayer};
 use crate::metapath::MetapathEncoder;
-use crate::models::{GraphModel, ModelOutput};
+use crate::models::{embed_and_classify, GraphModel, InferOutput, ModelOutput};
 use crate::vipool::VIPool;
 use glint_rules::Platform;
-use glint_tensor::{Csr, ParamSet, Tape, Var};
+use glint_tensor::{Csr, Exec, InferCtx, InferExec, ParamSet, Tape, TapeExec, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -42,6 +42,25 @@ impl MagcnModel {
             embed,
         }
     }
+
+    /// The forward pass, on either executor.
+    fn run<X: Exec>(&self, x: &mut X, g: &PreparedGraph) -> ModelOutput<X::T> {
+        let h = self.encoder.forward(x, g);
+        let h0 = self.l0.forward(x, &g.adj_norm, &h);
+        x.release(h);
+        let a0 = x.relu(h0);
+        let h1 = self.l1.forward(x, &g.adj_norm, &a0);
+        x.release(a0);
+        let a1 = x.relu(h1);
+        let red = readout_mean_max(x, &a1);
+        x.release(a1);
+        let (embedding, logits) = embed_and_classify(x, &self.fuse, &self.head, red);
+        ModelOutput {
+            embedding,
+            logits,
+            aux_loss: None,
+        }
+    }
 }
 
 impl GraphModel for MagcnModel {
@@ -62,20 +81,11 @@ impl GraphModel for MagcnModel {
     }
 
     fn forward(&self, tape: &mut Tape, vars: &[Var], g: &PreparedGraph) -> ModelOutput {
-        let h = self.encoder.forward(tape, vars, g);
-        let h0 = self.l0.forward(tape, vars, &g.adj_norm, h);
-        let a0 = tape.relu(h0);
-        let h1 = self.l1.forward(tape, vars, &g.adj_norm, a0);
-        let a1 = tape.relu(h1);
-        let red = readout_mean_max(tape, a1);
-        let fused = self.fuse.forward(tape, vars, red);
-        let embedding = tape.tanh(fused);
-        let logits = self.head.forward(tape, vars, embedding);
-        ModelOutput {
-            embedding,
-            logits,
-            aux_loss: None,
-        }
+        self.run(&mut TapeExec::new(tape, vars), g)
+    }
+
+    fn forward_infer(&self, ctx: &mut InferCtx, g: &PreparedGraph) -> InferOutput {
+        self.run(&mut InferExec::new(ctx, &self.params), g).into()
     }
 }
 
@@ -113,6 +123,29 @@ impl MagxnModel {
             embed,
         }
     }
+
+    /// The forward pass, on either executor.
+    fn run<X: Exec>(&self, x: &mut X, g: &PreparedGraph) -> ModelOutput<X::T> {
+        let h = self.encoder.forward(x, g);
+        let h0 = self.conv0.forward(x, &g.adj_norm, &h);
+        x.release(h);
+        let a0 = x.relu(h0);
+        let r0 = readout_mean_max(x, &a0);
+        let pooled = self.pool.forward(x, &g.adj_row, &a0, g.n as u64);
+        x.release(a0);
+        let h1 = self.conv1.forward(x, &pooled.adj_norm, &pooled.h);
+        x.release(pooled.h);
+        let a1 = x.relu(h1);
+        let r1 = readout_mean_max(x, &a1);
+        x.release(a1);
+        let red = concat_readout(x, Some(r0), r1);
+        let (embedding, logits) = embed_and_classify(x, &self.fuse, &self.head, red);
+        ModelOutput {
+            embedding,
+            logits,
+            aux_loss: pooled.pool_loss,
+        }
+    }
 }
 
 impl GraphModel for MagxnModel {
@@ -133,25 +166,11 @@ impl GraphModel for MagxnModel {
     }
 
     fn forward(&self, tape: &mut Tape, vars: &[Var], g: &PreparedGraph) -> ModelOutput {
-        let h = self.encoder.forward(tape, vars, g);
-        let h0 = self.conv0.forward(tape, vars, &g.adj_norm, h);
-        let a0 = tape.relu(h0);
-        let r0 = readout_mean_max(tape, a0);
-        let pooled = self
-            .pool
-            .forward(tape, vars, &g.adj_norm, &g.adj_row, a0, g.n as u64);
-        let h1 = self.conv1.forward(tape, vars, &pooled.adj_norm, pooled.h);
-        let a1 = tape.relu(h1);
-        let r1 = readout_mean_max(tape, a1);
-        let red = tape.concat_cols(r0, r1);
-        let fused = self.fuse.forward(tape, vars, red);
-        let embedding = tape.tanh(fused);
-        let logits = self.head.forward(tape, vars, embedding);
-        ModelOutput {
-            embedding,
-            logits,
-            aux_loss: Some(pooled.pool_loss),
-        }
+        self.run(&mut TapeExec::new(tape, vars), g)
+    }
+
+    fn forward_infer(&self, ctx: &mut InferCtx, g: &PreparedGraph) -> InferOutput {
+        self.run(&mut InferExec::new(ctx, &self.params), g).into()
     }
 }
 
@@ -192,6 +211,28 @@ impl HgslModel {
             head,
             embed,
             sim_threshold: 0.7,
+        }
+    }
+
+    /// The forward pass, on either executor.
+    fn run<X: Exec>(&self, x: &mut X, g: &PreparedGraph) -> ModelOutput<X::T> {
+        let h = self.encoder.forward(x, g);
+        let adj_sim = self.similarity_adjacency(x.value(&h));
+        let obs = self.conv_obs.forward(x, &g.adj_norm, &h);
+        let sim = self.conv_sim.forward(x, &adj_sim, &h);
+        x.release(h);
+        let combined = x.add(obs, sim);
+        let a0 = x.relu(combined);
+        let h1 = self.l1.forward(x, &g.adj_norm, &a0);
+        x.release(a0);
+        let a1 = x.relu(h1);
+        let red = readout_mean_max(x, &a1);
+        x.release(a1);
+        let (embedding, logits) = embed_and_classify(x, &self.fuse, &self.head, red);
+        ModelOutput {
+            embedding,
+            logits,
+            aux_loss: None,
         }
     }
 
@@ -241,23 +282,11 @@ impl GraphModel for HgslModel {
     }
 
     fn forward(&self, tape: &mut Tape, vars: &[Var], g: &PreparedGraph) -> ModelOutput {
-        let h = self.encoder.forward(tape, vars, g);
-        let adj_sim = self.similarity_adjacency(tape.value(h));
-        let obs = self.conv_obs.forward(tape, vars, &g.adj_norm, h);
-        let sim = self.conv_sim.forward(tape, vars, &adj_sim, h);
-        let combined = tape.add(obs, sim);
-        let a0 = tape.relu(combined);
-        let h1 = self.l1.forward(tape, vars, &g.adj_norm, a0);
-        let a1 = tape.relu(h1);
-        let red = readout_mean_max(tape, a1);
-        let fused = self.fuse.forward(tape, vars, red);
-        let embedding = tape.tanh(fused);
-        let logits = self.head.forward(tape, vars, embedding);
-        ModelOutput {
-            embedding,
-            logits,
-            aux_loss: None,
-        }
+        self.run(&mut TapeExec::new(tape, vars), g)
+    }
+
+    fn forward_infer(&self, ctx: &mut InferCtx, g: &PreparedGraph) -> InferOutput {
+        self.run(&mut InferExec::new(ctx, &self.params), g).into()
     }
 }
 

@@ -6,8 +6,8 @@
 
 use crate::batch::PreparedGraph;
 use crate::layers::{readout_sum, Dense, GinLayer};
-use crate::models::{GraphModel, ModelConfig, ModelOutput};
-use glint_tensor::{init, ParamSet, Tape, Var};
+use crate::models::{GraphModel, InferOutput, ModelConfig, ModelOutput};
+use glint_tensor::{init, Exec, InferCtx, InferExec, ParamSet, Tape, TapeExec, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -51,6 +51,59 @@ impl InfoGraphModel {
             embed: config.embed,
         }
     }
+
+    /// The forward pass, on either executor.
+    fn run<X: Exec>(&self, x: &mut X, g: &PreparedGraph) -> ModelOutput<X::T> {
+        let input = x.input(g.homo_features());
+        let h0 = self.l0.forward(x, &g.adj_sum, &input);
+        let a0 = x.relu(h0);
+        let h1 = self.l1.forward(x, &g.adj_sum, &a0);
+        x.release(a0);
+        let local = x.relu(h1); // n × hidden
+        let red = readout_sum(x, &local); // 1 × hidden
+        let fused = self.fuse.forward(x, &red);
+        x.release(red);
+        let embedding = x.tanh(fused); // 1 × embed
+        let aux_loss = x
+            .taped([&local, &embedding])
+            .and_then(|[local, embedding]| x.train_only(|t| self.mi_loss(t, local, embedding, g.n)))
+            .flatten();
+        x.release(local);
+        let logits = self.head.forward(x, &embedding);
+        ModelOutput {
+            embedding,
+            logits,
+            aux_loss,
+        }
+    }
+
+    /// The local/global mutual-information term, DGI-style: a bilinear
+    /// discriminator `score_i = h_i · D · gᵀ` on true node rows against
+    /// row-shuffled ones. Training only; `None` below two nodes.
+    fn mi_loss(&self, t: &mut TapeExec<'_>, local: Var, embedding: Var, n: usize) -> Option<Var> {
+        let disc = t.var(self.disc);
+        let tape = &mut *t.tape;
+        let g_t = tape.transpose(embedding); // embed × 1
+        let dg = tape.matmul(disc, g_t); // hidden × 1
+        let pos_logits = tape.matmul(local, dg); // n × 1
+
+        // corrupted pairing: shuffle node rows
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut rng = StdRng::seed_from_u64(n as u64 * 31 + 7);
+        perm.shuffle(&mut rng);
+        if n >= 2 && perm.iter().enumerate().all(|(i, &p)| i == p) {
+            perm.swap(0, 1);
+        }
+        let corrupted = tape.gather_rows(local, &perm);
+        let neg_logits = tape.matmul(corrupted, dg);
+
+        (n >= 2).then(|| {
+            let pos = tape.bce_with_logits(pos_logits, &vec![1.0; n]);
+            let neg = tape.bce_with_logits(neg_logits, &vec![0.0; n]);
+            let sum = tape.add(pos, neg);
+            tape.scale(sum, 0.5)
+        })
+    }
 }
 
 impl GraphModel for InfoGraphModel {
@@ -71,45 +124,11 @@ impl GraphModel for InfoGraphModel {
     }
 
     fn forward(&self, tape: &mut Tape, vars: &[Var], g: &PreparedGraph) -> ModelOutput {
-        let x = tape.constant(g.homo_features());
-        let h0 = self.l0.forward(tape, vars, &g.adj_sum, x);
-        let a0 = tape.relu(h0);
-        let h1 = self.l1.forward(tape, vars, &g.adj_sum, a0);
-        let local = tape.relu(h1); // n × hidden
-        let red = readout_sum(tape, local); // 1 × hidden
-        let fused = self.fuse.forward(tape, vars, red);
-        let embedding = tape.tanh(fused); // 1 × embed
+        self.run(&mut TapeExec::new(tape, vars), g)
+    }
 
-        // MI discriminator: score_i = h_i · D · gᵀ
-        let g_t = tape.transpose(embedding); // embed × 1
-        let dg = tape.matmul(vars[self.disc.0], g_t); // hidden × 1
-        let pos_logits = tape.matmul(local, dg); // n × 1
-
-        // corrupted pairing: shuffle node rows
-        let mut perm: Vec<usize> = (0..g.n).collect();
-        let mut rng = StdRng::seed_from_u64(g.n as u64 * 31 + 7);
-        perm.shuffle(&mut rng);
-        if g.n >= 2 && perm.iter().enumerate().all(|(i, &p)| i == p) {
-            perm.swap(0, 1);
-        }
-        let corrupted = tape.gather_rows(local, &perm);
-        let neg_logits = tape.matmul(corrupted, dg);
-
-        let aux = if g.n >= 2 {
-            let pos = tape.bce_with_logits(pos_logits, &vec![1.0; g.n]);
-            let neg = tape.bce_with_logits(neg_logits, &vec![0.0; g.n]);
-            let sum = tape.add(pos, neg);
-            Some(tape.scale(sum, 0.5))
-        } else {
-            None
-        };
-
-        let logits = self.head.forward(tape, vars, embedding);
-        ModelOutput {
-            embedding,
-            logits,
-            aux_loss: aux,
-        }
+    fn forward_infer(&self, ctx: &mut InferCtx, g: &PreparedGraph) -> InferOutput {
+        self.run(&mut InferExec::new(ctx, &self.params), g).into()
     }
 }
 

@@ -16,12 +16,12 @@
 //! ITGNN-C (Eq. 1) and Algorithm 3's drift detector.
 
 use crate::batch::PreparedGraph;
-use crate::layers::{readout_mean_max, readout_mean_max_infer, Dense, TagConv};
+use crate::layers::{concat_readout, readout_mean_max, Dense, TagConv};
 use crate::metapath::MetapathEncoder;
 use crate::models::{GraphModel, InferOutput, ModelOutput};
 use crate::vipool::VIPool;
 use glint_rules::Platform;
-use glint_tensor::{infer, InferCtx, Matrix, ParamSet, Tape, Var};
+use glint_tensor::{Exec, InferCtx, InferExec, ParamSet, Tape, TapeExec, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -143,6 +143,61 @@ impl Itgnn {
     pub fn config(&self) -> &ItgnnConfig {
         &self.config
     }
+
+    /// The forward pass, on either executor.
+    fn run<X: Exec>(&self, x: &mut X, g: &PreparedGraph) -> ModelOutput<X::T> {
+        // 1. metapath-based node transformation → homogeneous-type graph
+        let mut h = self.encoder.forward(x, g);
+        let mut adj_norm = g.adj_norm.clone();
+        let mut adj_row = g.adj_row.clone();
+
+        // 2. multi-scale generation + propagation
+        let mut readouts: Option<X::T> = None;
+        let mut pool_losses: Vec<Var> = Vec::new();
+        for (d, convs) in self.scales.iter().enumerate() {
+            for conv in convs {
+                let next = conv.forward(x, &adj_norm, &h);
+                x.release(std::mem::replace(&mut h, next));
+                h = x.relu(h);
+            }
+            let r = readout_mean_max(x, &h);
+            readouts = Some(concat_readout(x, readouts, r));
+            if d + 1 < self.scales.len() {
+                let pooled = self.pools[d].forward(x, &adj_row, &h, (g.n + d) as u64);
+                x.release(std::mem::replace(&mut h, pooled.h));
+                adj_norm = pooled.adj_norm;
+                adj_row = pooled.adj_row;
+                pool_losses.extend(pooled.pool_loss);
+            }
+        }
+        x.release(h);
+
+        // 3. multi-scale fusion
+        // glint-lint: allow(hot-unwrap) — scale count is a construction-time
+        // constant >= 1, so the readout accumulator is always seeded
+        let red = readouts.expect("at least one scale");
+        let fused = self.fuse.forward(x, &red);
+        x.release(red);
+        let embedding = if self.config.bounded_embedding {
+            x.tanh(fused)
+        } else {
+            fused
+        };
+        let logits = self.head.forward(x, &embedding);
+        let aux_loss = x
+            .train_only(|t| {
+                pool_losses.into_iter().reduce(|a, b| {
+                    let s = t.tape.add(a, b);
+                    t.tape.scale(s, 0.5)
+                })
+            })
+            .flatten();
+        ModelOutput {
+            embedding,
+            logits,
+            aux_loss,
+        }
+    }
 }
 
 impl GraphModel for Itgnn {
@@ -163,105 +218,11 @@ impl GraphModel for Itgnn {
     }
 
     fn forward(&self, tape: &mut Tape, vars: &[Var], g: &PreparedGraph) -> ModelOutput {
-        // 1. metapath-based node transformation → homogeneous-type graph
-        let mut h = self.encoder.forward(tape, vars, g);
-        let mut adj_norm = g.adj_norm.clone();
-        let mut adj_row = g.adj_row.clone();
-
-        // 2. multi-scale generation + propagation
-        let mut readouts: Option<Var> = None;
-        let mut pool_losses: Vec<Var> = Vec::new();
-        for (d, convs) in self.scales.iter().enumerate() {
-            for conv in convs {
-                h = conv.forward(tape, vars, &adj_norm, h);
-                h = tape.relu(h);
-            }
-            let r = readout_mean_max(tape, h);
-            readouts = Some(match readouts {
-                Some(prev) => tape.concat_cols(prev, r),
-                None => r,
-            });
-            if d + 1 < self.scales.len() {
-                let pooled =
-                    self.pools[d].forward(tape, vars, &adj_norm, &adj_row, h, (g.n + d) as u64);
-                h = pooled.h;
-                adj_norm = pooled.adj_norm;
-                adj_row = pooled.adj_row;
-                pool_losses.push(pooled.pool_loss);
-            }
-        }
-
-        // 3. multi-scale fusion
-        // scale count is a construction-time constant >= 1, so the readout
-        // accumulator is always seeded
-        let red = readouts.expect("at least one scale");
-        let fused = self.fuse.forward(tape, vars, red);
-        let embedding = if self.config.bounded_embedding {
-            tape.tanh(fused)
-        } else {
-            fused
-        };
-        let logits = self.head.forward(tape, vars, embedding);
-        let aux_loss = pool_losses.into_iter().reduce(|a, b| {
-            let s = tape.add(a, b);
-            tape.scale(s, 0.5)
-        });
-        ModelOutput {
-            embedding,
-            logits,
-            aux_loss,
-        }
+        self.run(&mut TapeExec::new(tape, vars), g)
     }
 
-    /// Tape-free serving pass: same pipeline as [`forward`](Self::forward)
-    /// minus every training-only artefact (no tape nodes, no pool losses,
-    /// no negative sampling), all activations drawn from the [`InferCtx`]
-    /// buffer pool.
     fn forward_infer(&self, ctx: &mut InferCtx, g: &PreparedGraph) -> InferOutput {
-        let params = &self.params;
-        // 1. metapath-based node transformation → homogeneous-type graph
-        let mut h = self.encoder.forward_infer(ctx, params, g);
-        let mut adj_norm = g.adj_norm.clone();
-        let mut adj_row = g.adj_row.clone();
-
-        // 2. multi-scale generation + propagation
-        let mut readouts: Option<Matrix> = None;
-        for (d, convs) in self.scales.iter().enumerate() {
-            for conv in convs {
-                let next = conv.forward_infer(ctx, params, &adj_norm, &h);
-                ctx.release(std::mem::replace(&mut h, next));
-                infer::relu_inplace(&mut h);
-            }
-            let r = readout_mean_max_infer(ctx, &h);
-            readouts = Some(match readouts {
-                Some(prev) => {
-                    let cc = ctx.concat_cols(&prev, &r);
-                    ctx.release(prev);
-                    ctx.release(r);
-                    cc
-                }
-                None => r,
-            });
-            if d + 1 < self.scales.len() {
-                let pooled = self.pools[d].forward_infer(ctx, params, &adj_row, &h);
-                ctx.release(std::mem::replace(&mut h, pooled.h));
-                adj_norm = pooled.adj_norm;
-                adj_row = pooled.adj_row;
-            }
-        }
-        ctx.release(h);
-
-        // 3. multi-scale fusion
-        // glint-lint: allow(hot-unwrap) — scale count is a construction-time
-        // constant >= 1, so the readout accumulator is always seeded
-        let red = readouts.expect("at least one scale");
-        let mut embedding = self.fuse.forward_infer(ctx, params, &red);
-        ctx.release(red);
-        if self.config.bounded_embedding {
-            infer::tanh_inplace(&mut embedding);
-        }
-        let logits = self.head.forward_infer(ctx, params, &embedding);
-        InferOutput { embedding, logits }
+        self.run(&mut InferExec::new(ctx, &self.params), g).into()
     }
 }
 

@@ -8,7 +8,8 @@ pub mod infograph;
 pub mod itgnn;
 
 use crate::batch::PreparedGraph;
-use glint_tensor::{InferCtx, Matrix, ParamSet, Tape, Var};
+use crate::layers::Dense;
+use glint_tensor::{Exec, InferCtx, Matrix, ParamSet, Tape, Var};
 
 pub use gcn::GcnModel;
 pub use gin::GinModel;
@@ -17,13 +18,16 @@ pub use hetero::{HgslModel, MagcnModel, MagxnModel};
 pub use infograph::InfoGraphModel;
 pub use itgnn::{Itgnn, ItgnnConfig};
 
-/// Result of one forward pass over a single graph.
-pub struct ModelOutput {
+/// Result of one forward pass over a single graph. Each model's forward
+/// body returns one over its executor's activations (`T = Var` on the
+/// tape).
+pub struct ModelOutput<T = Var> {
     /// Graph-level embedding (`1 × embed_dim`).
-    pub embedding: Var,
+    pub embedding: T,
     /// Class logits (`1 × 2`).
-    pub logits: Var,
+    pub logits: T,
     /// Auxiliary (pooling / infomax) loss to add with weight β, if any.
+    /// Recorded on the tape only.
     pub aux_loss: Option<Var>,
 }
 
@@ -39,7 +43,21 @@ pub struct InferOutput {
     pub logits: Matrix,
 }
 
+impl From<ModelOutput<Matrix>> for InferOutput {
+    fn from(out: ModelOutput<Matrix>) -> Self {
+        Self {
+            embedding: out.embedding,
+            logits: out.logits,
+        }
+    }
+}
+
 /// A trainable graph-classification model.
+///
+/// Every model in the zoo writes its forward pass once, generic over
+/// [`Exec`]; [`forward`](Self::forward) runs it on a
+/// [`glint_tensor::TapeExec`] and [`forward_infer`](Self::forward_infer)
+/// on a [`glint_tensor::InferExec`].
 ///
 /// `Send + Sync` is a supertrait so trainers can run forward/backward passes
 /// for the graphs of a mini-batch on worker threads (every implementor is a
@@ -56,22 +74,17 @@ pub trait GraphModel: Send + Sync {
     /// Tape-free forward pass for serving: values only, computed with the
     /// pooled [`InferCtx`] kernels, bitwise-identical to [`forward`]
     /// (property-tested in `tests/infer_equiv.rs`).
-    ///
-    /// The default body falls back to a throwaway tape, which is correct
-    /// for every model; the architectures on the detector's serving path
-    /// (ITGNN, GCN, GIN) override it with allocation-free kernels.
-    // glint-lint: allow(tape-purity) — the default body is the documented
-    // tape-backed fallback; every model on the serving path overrides it
-    fn forward_infer(&self, ctx: &mut InferCtx, g: &PreparedGraph) -> InferOutput {
-        let _ = &ctx;
-        let mut tape = Tape::new();
-        let vars = self.params().bind(&mut tape);
-        let out = self.forward(&mut tape, &vars, g);
-        InferOutput {
-            embedding: tape.value(out.embedding).clone(),
-            logits: tape.value(out.logits).clone(),
-        }
-    }
+    fn forward_infer(&self, ctx: &mut InferCtx, g: &PreparedGraph) -> InferOutput;
+}
+
+/// The shared head of the baselines: graph embedding `tanh(fuse(red))` and
+/// class logits `head(embedding)`. Consumes the readout `red`.
+fn embed_and_classify<X: Exec>(x: &mut X, fuse: &Dense, head: &Dense, red: X::T) -> (X::T, X::T) {
+    let fused = fuse.forward(x, &red);
+    x.release(red);
+    let embedding = x.tanh(fused);
+    let logits = head.forward(x, &embedding);
+    (embedding, logits)
 }
 
 /// Shared hyper-parameters for the baseline models.

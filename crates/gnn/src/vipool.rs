@@ -9,7 +9,7 @@
 //! discriminates true (vertex, neighbourhood) pairs from shuffled ones.
 
 use glint_tensor::optim::ParamId;
-use glint_tensor::{infer, init, Csr, InferCtx, Matrix, ParamSet, Tape, Var};
+use glint_tensor::{init, Csr, Exec, Matrix, ParamSet, TapeExec, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -28,31 +28,18 @@ pub struct VIPool {
 }
 
 /// Output of a pooling step.
-pub struct Pooled {
+pub struct Pooled<T> {
     /// Gated, pooled node features (k × d).
-    pub h: Var,
+    pub h: T,
     /// Normalized adjacency of the induced subgraph.
     pub adj_norm: Csr,
     /// Row-normalized adjacency of the induced subgraph.
     pub adj_row: Csr,
     /// Kept node indices (into the pre-pool graph), sorted.
     pub kept: Vec<usize>,
-    /// Infomax BCE loss for this stage (the `L_pool` summand).
-    pub pool_loss: Var,
-}
-
-/// Output of a tape-free pooling step: the training-only artefacts (negative
-/// sampling, infomax BCE) are skipped entirely — serving only needs the
-/// pooled features and the induced sub-adjacency.
-pub struct PooledInfer {
-    /// Gated, pooled node features (k × d).
-    pub h: Matrix,
-    /// Normalized adjacency of the induced subgraph.
-    pub adj_norm: Csr,
-    /// Row-normalized adjacency of the induced subgraph.
-    pub adj_row: Csr,
-    /// Kept node indices (into the pre-pool graph), sorted.
-    pub kept: Vec<usize>,
+    /// Infomax BCE loss for this stage (the `L_pool` summand); recorded on
+    /// the tape only, `None` when serving.
+    pub pool_loss: Option<Var>,
 }
 
 impl VIPool {
@@ -80,64 +67,25 @@ impl VIPool {
 
     /// Discriminator logits for (vertex, neighbourhood) rows:
     /// `z = rowsum((H A) ∘ (N B)) + [H ‖ N] w + b`.
-    fn score(&self, tape: &mut Tape, vars: &[Var], h: Var, neigh: Var) -> Var {
-        let pair = tape.concat_cols(h, neigh);
-        let linear = tape.linear(pair, vars[self.w.0], vars[self.b.0]); // n × 1
-        let ha = tape.matmul(h, vars[self.bilin_a.0]);
-        let nb = tape.matmul(neigh, vars[self.bilin_b.0]);
-        let prod = tape.mul(ha, nb);
-        let k = tape.value(prod).cols();
-        let ones = tape.constant(Matrix::full(k, 1, 1.0));
-        let bilinear = tape.matmul(prod, ones); // n × 1
-        tape.add(linear, bilinear)
+    fn score<X: Exec>(&self, x: &mut X, h: &X::T, neigh: &X::T) -> X::T {
+        let pair = x.concat_cols(h, neigh);
+        let linear = x.linear(&pair, self.w, self.b); // n × 1
+        x.release(pair);
+        let ha = x.matmul_w(h, self.bilin_a);
+        let nb = x.matmul_w(neigh, self.bilin_b);
+        let prod = x.mul(ha, nb);
+        let k = x.value(&prod).cols();
+        let ones = x.filled(k, 1, 1.0);
+        let bilinear = x.matmul(&prod, &ones); // n × 1
+        x.release(prod);
+        x.release(ones);
+        x.add(linear, bilinear)
     }
 
-    /// Tape-free discriminator logits — same kernels and element order as
-    /// [`score`](Self::score), pooled buffers throughout.
-    fn score_infer(
-        &self,
-        ctx: &mut InferCtx,
-        params: &ParamSet,
-        h: &Matrix,
-        neigh: &Matrix,
-    ) -> Matrix {
-        let pair = ctx.concat_cols(h, neigh);
-        let mut out = ctx.linear(&pair, params.get(self.w), params.get(self.b)); // n × 1
-        ctx.release(pair);
-        let mut prod = ctx.matmul(h, params.get(self.bilin_a));
-        let nb = ctx.matmul(neigh, params.get(self.bilin_b));
-        infer::mul_assign(&mut prod, &nb);
-        ctx.release(nb);
-        let k = prod.cols();
-        let ones = ctx.filled(k, 1, 1.0);
-        let bilinear = ctx.matmul(&prod, &ones); // n × 1
-        ctx.release(prod);
-        ctx.release(ones);
-        infer::add_assign(&mut out, &bilinear);
-        ctx.release(bilinear);
-        out
-    }
-
-    /// Score, select, gate, and compute the infomax loss.
-    ///
-    /// `adj_row` provides the mean-neighbourhood operator; `seed` drives the
-    /// negative-sample shuffle (deterministic per call site).
-    pub fn forward(
-        &self,
-        tape: &mut Tape,
-        vars: &[Var],
-        adj_norm: &Csr,
-        adj_row: &Csr,
-        h: Var,
-        seed: u64,
-    ) -> Pooled {
-        let n = tape.value(h).rows();
-        let d = tape.value(h).cols();
-        let neigh = tape.spmm(adj_row, h);
-        let logits = self.score(tape, vars, h, neigh); // n × 1
-        let scores = tape.sigmoid(logits);
-
-        // negatives: same vertices paired with a shuffled neighbourhood
+    /// The infomax objective: true (vertex, neighbourhood) pairs against the
+    /// same vertices paired with a shuffled neighbourhood. Training only.
+    fn infomax_loss(&self, t: &mut TapeExec<'_>, [h, neigh, logits]: [Var; 3], seed: u64) -> Var {
+        let n = t.tape.value(h).rows();
         let mut perm: Vec<usize> = (0..n).collect();
         let mut rng = StdRng::seed_from_u64(seed);
         perm.shuffle(&mut rng);
@@ -145,82 +93,50 @@ impl VIPool {
         if n >= 2 && perm.iter().enumerate().all(|(i, &p)| i == p) {
             perm.swap(0, 1);
         }
-        let shuffled_neigh = tape.gather_rows(neigh, &perm);
-        let neg_logits = self.score(tape, vars, h, shuffled_neigh);
-        let pos_loss = tape.bce_with_logits(logits, &vec![1.0; n]);
-        let neg_loss = tape.bce_with_logits(neg_logits, &vec![0.0; n]);
-        let sum = tape.add(pos_loss, neg_loss);
-        let pool_loss = tape.scale(sum, 0.5);
+        let shuffled_neigh = t.tape.gather_rows(neigh, &perm);
+        let neg_logits = self.score(t, &h, &shuffled_neigh);
+        let pos_loss = t.tape.bce_with_logits(logits, &vec![1.0; n]);
+        let neg_loss = t.tape.bce_with_logits(neg_logits, &vec![0.0; n]);
+        let sum = t.tape.add(pos_loss, neg_loss);
+        t.tape.scale(sum, 0.5)
+    }
+
+    /// Score, select, gate, and (on the tape) compute the infomax loss.
+    ///
+    /// `adj_row` provides the mean-neighbourhood operator; `seed` drives the
+    /// negative-sample shuffle (deterministic per call site).
+    pub fn forward<X: Exec>(&self, x: &mut X, adj_row: &Csr, h: &X::T, seed: u64) -> Pooled<X::T> {
+        let (n, d) = x.value(h).shape();
+        let neigh = x.spmm(adj_row, h);
+        let logits = self.score(x, h, &neigh); // n × 1
+        let taped = x.taped([h, &neigh, &logits]);
+        x.release(neigh);
+        let scores = x.sigmoid(logits);
+        let pool_loss = taped.and_then(|vars| x.train_only(|t| self.infomax_loss(t, vars, seed)));
 
         // top-k selection by score value (selection itself non-differentiable)
         let k = ((self.ratio * n as f32).ceil() as usize).clamp(1, n);
-        let score_vals = tape.value(scores).clone();
-        let order = rank_desc(&score_vals);
-        let mut kept: Vec<usize> = order[..k].to_vec();
+        let mut kept = rank_desc(x.value(&scores));
+        kept.truncate(k);
         kept.sort_unstable();
 
         // gate features by scores so the scorer receives task gradients
-        let ones = tape.constant(Matrix::full(1, d, 1.0));
-        let gate = tape.matmul(scores, ones); // n × d
-        let gated = tape.mul(h, gate);
-        let pooled_h = tape.gather_rows(gated, &kept);
+        let ones = x.filled(1, d, 1.0);
+        let gate = x.matmul(&scores, &ones); // n × d
+        x.release(ones);
+        x.release(scores);
+        let gated = x.mul_into(h, gate);
+        let pooled_h = x.gather_rows(&gated, &kept);
+        x.release(gated);
 
         // induced sub-adjacency, re-normalized
         let sub_edges = induced_edges(adj_row, &kept);
-        let adj_norm_sub = Csr::normalized_adjacency(k, &sub_edges);
-        let adj_row_sub = Csr::row_normalized(k, &sub_edges);
-        let _ = adj_norm; // kept in the signature for symmetry with callers
         Pooled {
             h: pooled_h,
-            adj_norm: adj_norm_sub,
-            adj_row: adj_row_sub,
+            adj_norm: Csr::normalized_adjacency(k, &sub_edges),
+            adj_row: Csr::row_normalized(k, &sub_edges),
             kept,
             pool_loss,
-        }
-    }
-
-    /// Tape-free score/select/gate: identical selection and gated features
-    /// to [`forward`](Self::forward) (bitwise — the sigmoid scores, the
-    /// `total_cmp` ranking, and the gating product reuse the same f32
-    /// arithmetic), minus the negative sampling and infomax loss, which only
-    /// training consumes.
-    pub fn forward_infer(
-        &self,
-        ctx: &mut InferCtx,
-        params: &ParamSet,
-        adj_row: &Csr,
-        h: &Matrix,
-    ) -> PooledInfer {
-        let n = h.rows();
-        let d = h.cols();
-        let neigh = ctx.spmm(adj_row, h);
-        let mut scores = self.score_infer(ctx, params, h, &neigh); // n × 1
-        ctx.release(neigh);
-        infer::sigmoid_inplace(&mut scores);
-
-        let k = ((self.ratio * n as f32).ceil() as usize).clamp(1, n);
-        let order = rank_desc(&scores);
-        let mut kept: Vec<usize> = order[..k].to_vec();
-        kept.sort_unstable();
-
-        let ones = ctx.filled(1, d, 1.0);
-        let mut gated = ctx.matmul(&scores, &ones); // n × d gate
-        ctx.release(ones);
-        ctx.release(scores);
-        // h ∘ gate: f32 multiplication is commutative, so gating in place
-        // over the gate buffer matches the tape's `mul(h, gate)` bitwise
-        infer::mul_assign(&mut gated, h);
-        let pooled_h = ctx.gather_rows(&gated, &kept);
-        ctx.release(gated);
-
-        let sub_edges = induced_edges(adj_row, &kept);
-        let adj_norm_sub = Csr::normalized_adjacency(k, &sub_edges);
-        let adj_row_sub = Csr::row_normalized(k, &sub_edges);
-        PooledInfer {
-            h: pooled_h,
-            adj_norm: adj_norm_sub,
-            adj_row: adj_row_sub,
-            kept,
         }
     }
 }
@@ -255,25 +171,25 @@ fn induced_edges(adj: &Csr, kept: &[usize]) -> Vec<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use glint_tensor::{InferCtx, InferExec, Tape};
 
-    fn setup(n: usize, ratio: f32) -> (ParamSet, VIPool, Csr, Csr, Matrix) {
+    fn setup(n: usize, ratio: f32) -> (ParamSet, VIPool, Csr, Matrix) {
         let mut params = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(11);
         let pool = VIPool::new(&mut params, "pool", 4, ratio, &mut rng);
         let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
-        let adj_norm = Csr::normalized_adjacency(n, &edges);
         let adj_row = Csr::row_normalized(n, &edges);
         let feats = init::uniform(&mut rng, n, 4, 1.0);
-        (params, pool, adj_norm, adj_row, feats)
+        (params, pool, adj_row, feats)
     }
 
     #[test]
     fn pooling_keeps_ratio_fraction() {
-        let (params, pool, adj_norm, adj_row, feats) = setup(10, 0.6);
+        let (params, pool, adj_row, feats) = setup(10, 0.6);
         let mut tape = Tape::new();
         let vars = params.bind(&mut tape);
         let h = tape.var(feats);
-        let out = pool.forward(&mut tape, &vars, &adj_norm, &adj_row, h, 1);
+        let out = pool.forward(&mut TapeExec::new(&mut tape, &vars), &adj_row, &h, 1);
         assert_eq!(out.kept.len(), 6);
         assert_eq!(tape.value(out.h).shape(), (6, 4));
         assert_eq!(out.adj_norm.rows(), 6);
@@ -281,32 +197,32 @@ mod tests {
 
     #[test]
     fn ratio_one_keeps_everything() {
-        let (params, pool, adj_norm, adj_row, feats) = setup(5, 1.0);
+        let (params, pool, adj_row, feats) = setup(5, 1.0);
         let mut tape = Tape::new();
         let vars = params.bind(&mut tape);
         let h = tape.var(feats);
-        let out = pool.forward(&mut tape, &vars, &adj_norm, &adj_row, h, 2);
+        let out = pool.forward(&mut TapeExec::new(&mut tape, &vars), &adj_row, &h, 2);
         assert_eq!(out.kept, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn pool_loss_is_finite_and_positive() {
-        let (params, pool, adj_norm, adj_row, feats) = setup(8, 0.5);
+        let (params, pool, adj_row, feats) = setup(8, 0.5);
         let mut tape = Tape::new();
         let vars = params.bind(&mut tape);
         let h = tape.var(feats);
-        let out = pool.forward(&mut tape, &vars, &adj_norm, &adj_row, h, 3);
-        let loss = tape.value(out.pool_loss).get(0, 0);
+        let out = pool.forward(&mut TapeExec::new(&mut tape, &vars), &adj_row, &h, 3);
+        let loss = tape.value(out.pool_loss.expect("recorded")).get(0, 0);
         assert!(loss.is_finite() && loss > 0.0, "pool loss {loss}");
     }
 
     #[test]
     fn gradients_reach_scorer_via_gating() {
-        let (params, pool, adj_norm, adj_row, feats) = setup(6, 0.5);
+        let (params, pool, adj_row, feats) = setup(6, 0.5);
         let mut tape = Tape::new();
         let vars = params.bind(&mut tape);
         let h = tape.var(feats);
-        let out = pool.forward(&mut tape, &vars, &adj_norm, &adj_row, h, 4);
+        let out = pool.forward(&mut TapeExec::new(&mut tape, &vars), &adj_row, &h, 4);
         // task-style loss on pooled features only (no pool_loss term)
         let loss = tape.mean_all(out.h);
         let grads = tape.backward(loss);
@@ -319,7 +235,7 @@ mod tests {
 
     #[test]
     fn training_on_infomax_reduces_loss() {
-        let (mut params, pool, adj_norm, adj_row, feats) = setup(12, 0.5);
+        let (mut params, pool, adj_row, feats) = setup(12, 0.5);
         let mut opt = glint_tensor::Adam::new(0.02);
         let mut losses = Vec::new();
         // fixed shuffle (seed 0) so the discriminator has a learnable target
@@ -327,9 +243,10 @@ mod tests {
             let mut tape = Tape::new();
             let vars = params.bind(&mut tape);
             let h = tape.constant(feats.clone());
-            let out = pool.forward(&mut tape, &vars, &adj_norm, &adj_row, h, 0);
-            let grads = tape.backward(out.pool_loss);
-            losses.push(tape.value(out.pool_loss).get(0, 0));
+            let out = pool.forward(&mut TapeExec::new(&mut tape, &vars), &adj_row, &h, 0);
+            let pool_loss = out.pool_loss.expect("recorded");
+            let grads = tape.backward(pool_loss);
+            losses.push(tape.value(pool_loss).get(0, 0));
             use glint_tensor::Optimizer;
             opt.step(&mut params, &vars, &grads);
         }
@@ -347,13 +264,26 @@ mod tests {
         let mut params = ParamSet::new();
         let mut rng = StdRng::seed_from_u64(13);
         let pool = VIPool::new(&mut params, "pool", 3, 0.5, &mut rng);
-        let adj_norm = Csr::normalized_adjacency(1, &[]);
         let adj_row = Csr::row_normalized(1, &[]);
         let mut tape = Tape::new();
         let vars = params.bind(&mut tape);
         let h = tape.var(Matrix::from_rows(&[vec![1.0, 2.0, 3.0]]));
-        let out = pool.forward(&mut tape, &vars, &adj_norm, &adj_row, h, 5);
+        let out = pool.forward(&mut TapeExec::new(&mut tape, &vars), &adj_row, &h, 5);
         assert_eq!(out.kept, vec![0]);
+    }
+
+    #[test]
+    fn serving_skips_the_infomax_loss_and_keeps_the_same_nodes() {
+        let (params, pool, adj_row, feats) = setup(9, 0.5);
+        let mut tape = Tape::new();
+        let vars = params.bind(&mut tape);
+        let h = tape.constant(feats.clone());
+        let taped = pool.forward(&mut TapeExec::new(&mut tape, &vars), &adj_row, &h, 6);
+        let mut ctx = InferCtx::new();
+        let served = pool.forward(&mut InferExec::new(&mut ctx, &params), &adj_row, &feats, 6);
+        assert!(taped.pool_loss.is_some() && served.pool_loss.is_none());
+        assert_eq!(taped.kept, served.kept);
+        assert_eq!(tape.value(taped.h), &served.h);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use glint_graph::InteractionGraph;
 use glint_rules::{Platform, RuleId};
 use glint_tensor::grad_check::{check_gradients, CheckReport};
 use glint_tensor::optim::ParamId;
-use glint_tensor::{init, Csr, Matrix, ParamSet};
+use glint_tensor::{init, Csr, Matrix, ParamSet, TapeExec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -108,7 +108,7 @@ proptest! {
             overwrite_params(&mut params, &ins[1..]);
             let vars = params.bind(tape);
             let h = tape.var(ins[0].clone());
-            let out = layer.forward(tape, &vars, &adj, h);
+            let out = layer.forward(&mut TapeExec::new(tape, &vars), &adj, &h);
             let act = tape.sigmoid(out); // curvature so W grads aren't constant
             let loss = tape.mean_all(act);
             let mut checked = vec![h];
@@ -129,7 +129,6 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let edges = line_edges(n, 1, seed);
-        let adj_norm = Csr::normalized_adjacency(n, &edges);
         let adj_row = Csr::row_normalized(n, &edges);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xf00d);
         let mut proto = ParamSet::new();
@@ -147,10 +146,10 @@ proptest! {
             overwrite_params(&mut params, &ins[1..]);
             let vars = params.bind(tape);
             let h = tape.var(ins[0].clone());
-            let out = pool.forward(tape, &vars, &adj_norm, &adj_row, h, seed);
+            let out = pool.forward(&mut TapeExec::new(tape, &vars), &adj_row, &h, seed);
             let mut checked = vec![h];
             checked.extend(vars);
-            (out.pool_loss, checked)
+            (out.pool_loss.expect("the tape records the infomax loss"), checked)
         });
         assert_report(report, "VIPool infomax loss");
     }
@@ -165,7 +164,6 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let edges = line_edges(n, 1, seed);
-        let adj_norm = Csr::normalized_adjacency(n, &edges);
         let adj_row = Csr::row_normalized(n, &edges);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xbead);
         let mut proto = ParamSet::new();
@@ -183,7 +181,7 @@ proptest! {
             overwrite_params(&mut params, &ins[1..]);
             let vars = params.bind(tape);
             let h = tape.var(ins[0].clone());
-            let out = pool.forward(tape, &vars, &adj_norm, &adj_row, h, seed);
+            let out = pool.forward(&mut TapeExec::new(tape, &vars), &adj_row, &h, seed);
             let loss = tape.mean_all(out.h);
             let mut checked = vec![h];
             checked.extend(vars);
@@ -238,7 +236,7 @@ proptest! {
             let enc = MetapathEncoder::new(&mut params, "enc", &types, hidden, &mut build_rng);
             overwrite_params(&mut params, ins);
             let vars = params.bind(tape);
-            let out = enc.forward(tape, &vars, &prepared);
+            let out = enc.forward(&mut TapeExec::new(tape, &vars), &prepared);
             let act = tape.sigmoid(out);
             let loss = tape.mean_all(act);
             (loss, vars)
@@ -268,7 +266,7 @@ fn tagconv_reference_configuration_grad_checks() {
         overwrite_params(&mut params, &ins[1..]);
         let vars = params.bind(tape);
         let h = tape.var(ins[0].clone());
-        let out = layer.forward(tape, &vars, &adj, h);
+        let out = layer.forward(&mut TapeExec::new(tape, &vars), &adj, &h);
         let act = tape.sigmoid(out);
         let loss = tape.mean_all(act);
         let mut checked = vec![h];

@@ -7,7 +7,8 @@
 
 use glint_gnn::batch::PreparedGraph;
 use glint_gnn::models::{
-    GcnModel, GinModel, GraphModel, GxnModel, Itgnn, ItgnnConfig, ModelConfig,
+    GcnModel, GinModel, GraphModel, GxnModel, HgslModel, InfoGraphModel, Itgnn, ItgnnConfig,
+    MagcnModel, MagxnModel, ModelConfig,
 };
 use glint_gnn::trainer::ClassifierTrainer;
 use glint_graph::graph::{EdgeKind, Node};
@@ -93,6 +94,56 @@ fn itgnn_cfg() -> ItgnnConfig {
     }
 }
 
+/// One ITGNN configuration per Figure 7 axis, each off its default.
+fn ablation_axes() -> Vec<(&'static str, ItgnnConfig)> {
+    let base = itgnn_cfg();
+    vec![
+        (
+            "disable_intra",
+            ItgnnConfig {
+                disable_intra: true,
+                ..base.clone()
+            },
+        ),
+        (
+            "disable_inter",
+            ItgnnConfig {
+                disable_inter: true,
+                ..base.clone()
+            },
+        ),
+        (
+            "disable_intra + disable_inter",
+            ItgnnConfig {
+                disable_intra: true,
+                disable_inter: true,
+                ..base.clone()
+            },
+        ),
+        (
+            "n_scales 1",
+            ItgnnConfig {
+                n_scales: 1,
+                ..base.clone()
+            },
+        ),
+        (
+            "pool_ratio 1.0",
+            ItgnnConfig {
+                pool_ratio: 1.0,
+                ..base.clone()
+            },
+        ),
+        (
+            "unbounded embedding",
+            ItgnnConfig {
+                bounded_embedding: false,
+                ..base
+            },
+        ),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -131,13 +182,60 @@ proptest! {
         prop_assert_eq!(tape_bits(&model, &p), infer_bits(&model, &p));
     }
 
-    /// Models without a dedicated fast path fall back to the tape inside
-    /// `forward_infer` — the default must honour the same contract.
+    /// The baselines with training-only terms or a metapath front end:
+    /// GXN (VIPool) and InfoGraph (mutual-information loss) on homogeneous
+    /// graphs.
     #[test]
-    fn default_forward_infer_fallback_matches_tape(g in graph_strategy(&[Platform::Ifttt])) {
+    fn baselines_are_bitwise_identical_homo(g in graph_strategy(&[Platform::Ifttt])) {
         let p = PreparedGraph::from_graph(&g);
-        let model = GxnModel::new(DIM, ModelConfig { hidden: 8, embed: 8, seed: 9 });
-        prop_assert_eq!(tape_bits(&model, &p), infer_bits(&model, &p));
+        let cfg = ModelConfig { hidden: 8, embed: 8, seed: 9 };
+        let models: Vec<Box<dyn GraphModel>> = vec![
+            Box::new(GxnModel::new(DIM, cfg)),
+            Box::new(InfoGraphModel::new(DIM, cfg)),
+        ];
+        for model in &models {
+            prop_assert_eq!(
+                tape_bits(&**model, &p),
+                infer_bits(&**model, &p),
+                "{} tape vs tape-free",
+                model.name()
+            );
+        }
+    }
+
+    /// MAGCN, MAGXN and HGSL on heterogeneous graphs.
+    #[test]
+    fn baselines_are_bitwise_identical_hetero(
+        g in graph_strategy(&[Platform::Ifttt, Platform::SmartThings])
+    ) {
+        let p = PreparedGraph::from_graph(&g);
+        let types = [(Platform::Ifttt, DIM), (Platform::SmartThings, DIM)];
+        let models: Vec<Box<dyn GraphModel>> = vec![
+            Box::new(MagcnModel::new(&types, 8, 8, 5)),
+            Box::new(MagxnModel::new(&types, 8, 8, 6)),
+            Box::new(HgslModel::new(&types, 8, 8, 7)),
+        ];
+        for model in &models {
+            prop_assert_eq!(
+                tape_bits(&**model, &p),
+                infer_bits(&**model, &p),
+                "{} tape vs tape-free",
+                model.name()
+            );
+        }
+    }
+
+    /// Every Figure 7 ablation axis the ITGNN body branches on.
+    #[test]
+    fn itgnn_ablation_axes_are_bitwise_identical(
+        g in graph_strategy(&[Platform::Ifttt, Platform::SmartThings])
+    ) {
+        let p = PreparedGraph::from_graph(&g);
+        let types = [(Platform::Ifttt, DIM), (Platform::SmartThings, DIM)];
+        for (axis, cfg) in ablation_axes() {
+            let model = Itgnn::new(&types, cfg);
+            prop_assert_eq!(tape_bits(&model, &p), infer_bits(&model, &p), "{}", axis);
+        }
     }
 
     /// The serving wrapper itself: `predict` (tape-free) agrees with the

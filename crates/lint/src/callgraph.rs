@@ -4,11 +4,17 @@
 //! Resolution is name-based with method-receiver heuristics — NOT type
 //! checked. The soundness posture (documented in DESIGN.md):
 //!
-//! * **over-approximation**: a method call `x.embed(…)` links to *every*
-//!   workspace fn named `embed` that has a receiver — this is exactly what
-//!   makes trait dispatch (`dyn GraphModel`) visible without types, at the
-//!   cost of possible false edges. False edges can only make *more* code
-//!   hot, never hide hot code, so the panic-safety rules stay conservative;
+//! * **over-approximation**: a method call `x.embed(…)` with no receiver
+//!   evidence links to *every* workspace fn named `embed` that has a
+//!   receiver, at the cost of possible false edges. False edges can only
+//!   make *more* code hot, never hide hot code, so the panic-safety rules
+//!   stay conservative. Evidence narrows the set: a declared param, field
+//!   or loop-element type, the return type of the caller's own method
+//!   (`self.value(a).add(…)`), and trait bounds — a receiver typed as a
+//!   workspace trait (`&dyn GraphModel`) or as a generic param bounded by
+//!   one (`x: &mut X` with `X: Exec`) dispatches to every `impl Trait for …`
+//!   method of that name plus the trait's own default body, and to
+//!   nothing else;
 //! * **under-approximation**: calls through function pointers/closures
 //!   passed as values, macro-generated calls, and calls into `std` are not
 //!   edges. Qualified calls whose qualifier names nothing in the workspace
@@ -35,6 +41,12 @@ pub struct FnNode {
     pub krate: String,
     pub name: String,
     pub receiver: Option<String>,
+    /// Trait of the enclosing `impl Trait for Type` block.
+    pub impl_trait: Option<String>,
+    /// Leading type name of the declared return type.
+    pub ret: Option<String>,
+    /// Generic bounds `(param, trait)` of the fn's own generics.
+    pub bounds: Vec<(String, String)>,
     /// Parameter name → type last segment, receiver evidence for resolution.
     pub params: Vec<(String, String)>,
     /// `for`-loop element bindings: binding → `"self.<field>"` or a bare
@@ -83,8 +95,9 @@ pub struct CallGraph {
     /// Struct name → field name → field type last segment, from `struct`
     /// items across the workspace. Receiver evidence for `self.field.f(…)`.
     pub structs: BTreeMap<String, BTreeMap<String, String>>,
-    /// Names declared by `trait` items. Typed narrowing is disabled for
-    /// these: a `&dyn Trait` param must keep linking to every implementor.
+    /// Names declared by `trait` items. A receiver typed by one of these
+    /// (or by a generic param bounded by one) dispatches to the trait's
+    /// impls and its own default bodies.
     pub traits: BTreeSet<String>,
 }
 
@@ -152,6 +165,9 @@ impl CallGraph {
                     krate: krate.clone(),
                     name: f.name.clone(),
                     receiver: f.receiver.clone(),
+                    impl_trait: f.impl_trait.clone(),
+                    ret: f.ret.clone(),
+                    bounds: f.bounds.clone(),
                     params: f.params.clone(),
                     loop_elems: f.loop_elems.clone(),
                     module,
@@ -212,8 +228,13 @@ impl CallGraph {
         }
     }
 
-    /// [`CallGraph::parents_from`] seeded by explicit fn indices.
-    pub fn parents_from_set(&self, seeds: &BTreeSet<usize>) -> BTreeMap<usize, usize> {
+    /// [`CallGraph::parents_from`] seeded by explicit fn indices. The walk
+    /// never enters a fn in `stop`.
+    pub fn parents_from_set(
+        &self,
+        seeds: &BTreeSet<usize>,
+        stop: &BTreeSet<usize>,
+    ) -> BTreeMap<usize, usize> {
         let mut parents: BTreeMap<usize, usize> = BTreeMap::new();
         let mut frontier: Vec<usize> = Vec::new();
         for &i in seeds {
@@ -223,7 +244,7 @@ impl CallGraph {
         while !frontier.is_empty() {
             let mut next = Vec::new();
             for &i in &frontier {
-                for &j in &self.edges[i] {
+                for &j in self.edges[i].iter().filter(|j| !stop.contains(j)) {
                     if let std::collections::btree_map::Entry::Vacant(e) = parents.entry(j) {
                         e.insert(i);
                         next.push(j);
@@ -321,7 +342,7 @@ impl CallGraph {
         for spec in specs {
             seeds.extend(self.match_spec(spec));
         }
-        self.parents_from_set(&seeds)
+        self.parents_from_set(&seeds, &BTreeSet::new())
     }
 
     /// Shortest call chain (entry → … → fn `i`) as qualified names.
@@ -419,80 +440,116 @@ fn resolve(
             let methods = pick(&|f| f.receiver.is_some());
             // Positive receiver evidence narrows the candidate set:
             // `self.f(…)` → the caller's own impl; a declared param type
-            // (`ctx: &mut InferCtx` → `ctx.f(…)`) or a struct field type
-            // (`self.l0.f(…)` with `l0: GcnLayer`) → methods of that type;
+            // (`ctx: &mut InferCtx` → `ctx.f(…)`), a struct field type
+            // (`self.l0.f(…)` with `l0: GcnLayer`) or the return type of
+            // the caller's own method (`self.value(a).f(…)` with
+            // `fn value(…) -> &Matrix`) → methods of that type;
             // `tape.f(…)` → a type whose lowercased name matches.
-            if let Some(recv) = recv_ident.as_deref() {
-                if recv == "self" && caller.receiver.is_some() {
-                    let own: Vec<usize> = methods
+            let recv = recv_ident.as_deref();
+            if recv == Some("self") && caller.receiver.is_some() {
+                let own: Vec<usize> = methods
+                    .iter()
+                    .copied()
+                    .filter(|&i| fns[i].receiver == caller.receiver)
+                    .collect();
+                if !own.is_empty() {
+                    return Some(own);
+                }
+            }
+            let declared: Option<&str> = match recv {
+                Some("self") => None,
+                Some(r) if recv_base.as_deref() == Some("self") => caller
+                    .receiver
+                    .as_deref()
+                    .and_then(|c| tables.structs.get(c))
+                    .and_then(|fields| fields.get(r))
+                    .map(|t| t.as_str()),
+                Some(r) => local_type(tables, caller, r, 0),
+                None => call.recv_call.as_deref().and_then(|m| {
+                    let own = by_name.get(m)?;
+                    own.iter()
+                        .map(|&i| &fns[i])
+                        .find(|f| f.receiver.is_some() && f.receiver == caller.receiver)?
+                        .ret
+                        .as_deref()
+                }),
+            };
+            if let Some(ty) = declared {
+                // Trait evidence: a receiver typed as a workspace trait
+                // (`model: &dyn GraphModel`) or as a generic param bounded
+                // by one (`x: &mut X` with `X: Exec`) dispatches only to
+                // that trait — every `impl Trait for …` method of the
+                // name, plus the trait's own declaration and default body.
+                // Same-named inherent methods of other types
+                // (`Tape::matmul`, `Matrix::matmul`) are not reachable
+                // through it.
+                let traits: Vec<&str> = if tables.traits.contains(ty) {
+                    vec![ty]
+                } else {
+                    caller
+                        .bounds
+                        .iter()
+                        .filter(|(p, b)| p == ty && tables.traits.contains(b))
+                        .map(|(_, b)| b.as_str())
+                        .collect()
+                };
+                if !traits.is_empty() {
+                    let via: Vec<usize> = methods
                         .iter()
                         .copied()
-                        .filter(|&i| fns[i].receiver == caller.receiver)
+                        .filter(|&i| {
+                            let f = &fns[i];
+                            traits.iter().any(|t| {
+                                f.impl_trait.as_deref() == Some(t)
+                                    || f.receiver.as_deref() == Some(t)
+                            })
+                        })
                         .collect();
-                    if !own.is_empty() {
-                        return Some(own);
-                    }
-                } else {
-                    // Declared-type evidence. Narrowing is skipped for trait
-                    // types (`model: &dyn GraphModel`): restricting to the
-                    // trait's own (default/bodiless) methods would hide every
-                    // implementor and break dispatch over-approximation.
-                    let declared: Option<&str> = if recv_base.as_deref() == Some("self") {
-                        caller
-                            .receiver
-                            .as_deref()
-                            .and_then(|r| tables.structs.get(r))
-                            .and_then(|fields| fields.get(recv))
-                            .map(|t| t.as_str())
-                    } else {
-                        local_type(tables, caller, recv, 0)
-                    };
-                    if let Some(ty) = declared.filter(|t| !tables.traits.contains(*t)) {
-                        let typed: Vec<usize> = methods
-                            .iter()
-                            .copied()
-                            .filter(|&i| fns[i].receiver.as_deref() == Some(ty))
-                            .collect();
-                        if !typed.is_empty() {
-                            return Some(typed);
-                        }
-                        // A declared workspace struct type with no inherent
-                        // method of that name: it may still be a workspace
-                        // trait's default body (receiver = the trait name);
-                        // otherwise the call goes to a std/derive impl
-                        // (`cfg.clone()`, `map.get(…)` on a BTreeMap field) —
-                        // treat as non-workspace rather than falling back to
-                        // the all-methods heuristic.
-                        if tables.structs.contains_key(ty) {
-                            let via_trait: Vec<usize> = methods
-                                .iter()
-                                .copied()
-                                .filter(|&i| {
-                                    fns[i]
-                                        .receiver
-                                        .as_deref()
-                                        .is_some_and(|r| tables.traits.contains(r))
-                                })
-                                .collect();
-                            if !via_trait.is_empty() {
-                                return Some(via_trait);
-                            }
-                            return None;
-                        }
-                    }
-                    let typed: Vec<usize> = methods
+                    // No such trait method: a supertrait's or a std method
+                    // (`x.clone()`), not a workspace call.
+                    return (!via.is_empty()).then_some(via);
+                }
+                let typed: Vec<usize> = methods
+                    .iter()
+                    .copied()
+                    .filter(|&i| fns[i].receiver.as_deref() == Some(ty))
+                    .collect();
+                if !typed.is_empty() {
+                    return Some(typed);
+                }
+                // A declared workspace struct type with no inherent method
+                // of that name: it may still be a workspace trait's default
+                // body (receiver = the trait name); otherwise the call goes
+                // to a std/derive impl (`cfg.clone()`, `map.get(…)` on a
+                // BTreeMap field) — treat as non-workspace rather than
+                // falling back to the all-methods heuristic.
+                if tables.structs.contains_key(ty) {
+                    let via_trait: Vec<usize> = methods
                         .iter()
                         .copied()
                         .filter(|&i| {
                             fns[i]
                                 .receiver
                                 .as_deref()
-                                .is_some_and(|r| r.eq_ignore_ascii_case(recv))
+                                .is_some_and(|r| tables.traits.contains(r))
                         })
                         .collect();
-                    if !typed.is_empty() {
-                        return Some(typed);
-                    }
+                    return (!via_trait.is_empty()).then_some(via_trait);
+                }
+            }
+            if let Some(r) = recv.filter(|&r| r != "self") {
+                let typed: Vec<usize> = methods
+                    .iter()
+                    .copied()
+                    .filter(|&i| {
+                        fns[i]
+                            .receiver
+                            .as_deref()
+                            .is_some_and(|c| c.eq_ignore_ascii_case(r))
+                    })
+                    .collect();
+                if !typed.is_empty() {
+                    return Some(typed);
                 }
             }
             // Without evidence, std-staple names (`len`, `push`, `split`,
@@ -882,18 +939,106 @@ mod tests {
             "crates/a/src/lib.rs",
             r#"
             trait Model: Send { fn score(&self) -> f32; }
-            struct A; struct B;
+            struct A; struct B; struct Other;
             impl Model for A { fn score(&self) -> f32 { 1.0 } }
             impl Model for B { fn score(&self) -> f32 { 2.0 } }
+            impl Other { fn score(&self) -> f32 { 3.0 } }
             fn entry(m: &dyn Model) -> f32 { m.score() }
             "#,
         )]);
         let hot = g.reachable(&["entry".to_string()]);
         let n = names(&g, &hot);
-        // Narrowing to the trait's own (bodiless) decl would hide both
-        // impls; trait-typed evidence must NOT narrow.
+        // Trait-typed evidence dispatches to every implementor, and only
+        // to implementors: an unrelated same-named inherent method stays
+        // out.
         assert!(n.iter().any(|q| q.contains("A::score")), "{n:?}");
         assert!(n.iter().any(|q| q.contains("B::score")), "{n:?}");
+        assert!(!n.iter().any(|q| q.contains("Other::score")), "{n:?}");
+    }
+
+    /// A forward body generic over an executor trait, reached from a
+    /// serving entry point: `x.matmul()` on `x: &mut X` with `X: Exec`
+    /// links to the `Exec` impls only. Name-based dispatch used to link it
+    /// to every workspace `matmul` as well, putting `Tape::matmul`'s
+    /// `vec!` and `Matrix::matmul`'s `Matrix::zeros` into the serving
+    /// census.
+    #[test]
+    fn generic_params_bounded_by_a_trait_dispatch_to_its_impls() {
+        let files: Vec<FileSyntax> = [(
+            "crates/a/src/lib.rs",
+            r#"
+            pub trait Exec { fn matmul(&mut self); }
+            pub struct Tape; pub struct Matrix;
+            pub struct TapeExec { tape: Tape }
+            pub struct InferExec;
+            impl Tape { pub fn matmul(&mut self) { let _n = vec![0usize; 2]; } }
+            impl Matrix { pub fn matmul(&self) -> Matrix { Matrix::zeros() } }
+            impl Exec for TapeExec { fn matmul(&mut self) { self.tape.matmul(); } }
+            impl Exec for InferExec { fn matmul(&mut self) { pooled(); } }
+            fn pooled() {}
+            pub struct Net;
+            impl Net {
+                pub fn forward<X: Exec>(&self, x: &mut X) { x.matmul(); }
+                pub fn forward_where<X>(&self, x: &mut X) where X: Exec { x.matmul(); }
+            }
+            pub struct GlintDetector { net: Net }
+            impl GlintDetector {
+                pub fn assess(&self) {
+                    self.net.forward(&mut InferExec);
+                    self.net.forward_where(&mut InferExec);
+                }
+            }
+            "#,
+        )]
+        .iter()
+        .map(|(p, s)| FileSyntax::parse(p, s))
+        .collect();
+        let g = CallGraph::build(&files);
+        for entry in ["Net::forward", "Net::forward_where"] {
+            let callee: Vec<String> = g
+                .match_spec(entry)
+                .iter()
+                .flat_map(|&i| g.edges[i].iter().map(|&j| g.fns[j].qualified()))
+                .collect();
+            assert_eq!(
+                callee,
+                [
+                    "glint_a::Exec::matmul",
+                    "glint_a::TapeExec::matmul",
+                    "glint_a::InferExec::matmul"
+                ],
+                "{entry}"
+            );
+        }
+        let census = crate::census::run(
+            &g,
+            &["GlintDetector::assess".to_string()],
+            &crate::Config::default().tape_alloc_fns,
+            &files,
+        );
+        assert_eq!(census.total_sites(), 0, "{:#?}", census.sites);
+    }
+
+    #[test]
+    fn own_method_return_types_type_chained_receivers() {
+        // `self.value(a).add(…)` calls `add` on what `value` returns.
+        let g = graph_of(&[(
+            "crates/a/src/lib.rs",
+            r#"
+            struct Matrix; struct Tape; struct Home;
+            impl Matrix { fn add(&self, o: &Matrix) -> Matrix { Matrix } }
+            impl Home { fn add(&mut self) { tainted(); } }
+            fn tainted() {}
+            impl Tape {
+                fn value(&self, v: usize) -> &Matrix { &Matrix }
+                fn add(&mut self, a: usize, b: usize) { self.value(a).add(self.value(b)); }
+            }
+            "#,
+        )]);
+        let hot = g.reachable(&["Tape::add".to_string()]);
+        let n = names(&g, &hot);
+        assert!(n.iter().any(|q| q.ends_with("Matrix::add")), "{n:?}");
+        assert!(!n.iter().any(|q| q.ends_with("Home::add")), "{n:?}");
     }
 
     #[test]

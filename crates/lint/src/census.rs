@@ -92,8 +92,32 @@ impl Census {
 /// Run the census: walk every fn reachable from `inference_entry_points`
 /// and record allocation expressions in its body. `files` supplies the
 /// token streams the graph's body ranges index into.
-pub fn run(graph: &CallGraph, inference_entry_points: &[String], files: &[FileSyntax]) -> Census {
-    let parents = graph.parents_from(inference_entry_points);
+///
+/// The walk stops at the tape ([`crate::Config::tape_alloc_fns`]): the fns
+/// matching those specs, and for a `Type::*` spec every fn taking a `Type`
+/// parameter (`fn infomax_loss(&self, t: &mut TapeExec, …)`). Forward
+/// bodies generic over the executor reach the tape through its `Exec`
+/// impl and their training-only terms, but only training runs them.
+pub fn run(
+    graph: &CallGraph,
+    inference_entry_points: &[String],
+    tape_fns: &[String],
+    files: &[FileSyntax],
+) -> Census {
+    let mut seeds: BTreeSet<usize> = BTreeSet::new();
+    let mut stop: BTreeSet<usize> = BTreeSet::new();
+    for spec in inference_entry_points {
+        seeds.extend(graph.match_spec(spec));
+    }
+    for spec in tape_fns {
+        stop.extend(graph.match_spec(spec));
+        if let Some(ty) = spec.strip_suffix("::*") {
+            stop.extend(
+                (0..graph.fns.len()).filter(|&i| graph.fns[i].params.iter().any(|(_, t)| t == ty)),
+            );
+        }
+    }
+    let parents = graph.parents_from_set(&seeds, &stop);
     let reachable: BTreeSet<usize> = parents.keys().copied().collect();
     let mut sites: Vec<CensusSite> = Vec::new();
     for &i in &reachable {
@@ -219,7 +243,7 @@ mod tests {
         "#;
         let files = vec![FileSyntax::parse("crates/a/src/lib.rs", src)];
         let graph = CallGraph::build(&files);
-        let census = run(&graph, &["Det::assess".to_string()], &files);
+        let census = run(&graph, &["Det::assess".to_string()], &[], &files);
         assert_eq!(census.total_sites(), 5, "{:#?}", census.sites);
         // Ranked: matrix ctor first.
         assert_eq!(census.sites[0].kind, AllocKind::MatrixCtor);
@@ -234,5 +258,25 @@ mod tests {
         }
         // `cold` is unreachable from assess: its Matrix::zeros is absent.
         assert!(!census.sites.iter().any(|s| s.in_fn.ends_with("::cold")));
+    }
+
+    #[test]
+    fn census_stops_at_the_tape_and_at_fns_taking_it() {
+        let src = r#"
+            impl Det {
+                pub fn assess(&self, t: &mut Tape) { serve(); t.record(); train_only(t); }
+            }
+            fn serve() { let _ = vec![1]; }
+            impl Tape { pub fn record(&mut self) { let _ = vec![2]; } }
+            fn train_only(t: &mut Tape) { let _ = vec![3]; }
+        "#;
+        let files = vec![FileSyntax::parse("crates/a/src/lib.rs", src)];
+        let graph = CallGraph::build(&files);
+        let entry = ["Det::assess".to_string()];
+        let all = run(&graph, &entry, &[], &files);
+        assert_eq!(all.total_sites(), 3, "{:#?}", all.sites);
+        let cut = run(&graph, &entry, &["Tape::*".to_string()], &files);
+        let fns: Vec<&str> = cut.sites.iter().map(|s| s.in_fn.as_str()).collect();
+        assert_eq!(fns, ["glint_a::serve"]);
     }
 }

@@ -7,7 +7,7 @@
 //! engine — [`propagate_up`], a monotone worklist over the reverse call
 //! graph — plus plain forward reachability for the certificate passes.
 //!
-//! Four analyses (DESIGN.md "Interprocedural dataflow"):
+//! Three analyses (DESIGN.md "Interprocedural dataflow"):
 //!
 //! * **determinism taint** (`taint-flow`) — source sites (wall-clock reads,
 //!   OS-seeded RNGs, hash-iteration types) inside any fn that the sink
@@ -26,10 +26,6 @@
 //!   from the hot entry points, as a named list ([`PanicFn`]) emitted into
 //!   `BENCH_lint.json` v3 and ratcheted by CI: the serving panic surface
 //!   can only shrink.
-//! * **tape purity** (`tape-purity`) — no [`Config::tape_pure_fns`]
-//!   implementation may reach a tape-allocating constructor
-//!   ([`Config::tape_alloc_fns`]); pins the tape-free inference fast path
-//!   statically.
 //!
 //! Soundness inherits the call graph's posture: over-approximate dispatch
 //! means flows/edges that cannot happen at runtime may be reported (and
@@ -92,7 +88,7 @@ pub struct Dataflow {
     pub panic_surface: Vec<PanicFn>,
 }
 
-/// Run all four analyses. `files` supplies the token streams the graph's
+/// Run all three analyses. `files` supplies the token streams the graph's
 /// body ranges index into.
 pub fn run(graph: &CallGraph, files: &[FileSyntax], cfg: &Config) -> Dataflow {
     let toks_of: BTreeMap<&str, &[Tok]> = files
@@ -102,7 +98,6 @@ pub fn run(graph: &CallGraph, files: &[FileSyntax], cfg: &Config) -> Dataflow {
     let mut findings = Vec::new();
     taint_flow(graph, &toks_of, cfg, &mut findings);
     lock_order(graph, &toks_of, &mut findings);
-    tape_purity(graph, cfg, &mut findings);
     let panic_surface = panic_surface(graph, &toks_of, cfg);
     findings.sort();
     findings.dedup();
@@ -192,7 +187,7 @@ fn taint_flow(
             sinks.insert(i);
         }
     }
-    let parents = graph.parents_from_set(&sinks);
+    let parents = graph.parents_from_set(&sinks, &BTreeSet::new());
     for &i in parents.keys() {
         let f = &graph.fns[i];
         let Some((start, end)) = f.body else { continue };
@@ -573,47 +568,6 @@ fn panic_surface(
     out
 }
 
-// ---------------------------------------------------------------------------
-// tape purity
-// ---------------------------------------------------------------------------
-
-/// `tape-purity`: no fn matching [`Config::tape_pure_fns`] may reach a fn
-/// matching [`Config::tape_alloc_fns`] — the inference fast path must stay
-/// tape-free (PR 7's guarantee, pinned statically).
-fn tape_purity(graph: &CallGraph, cfg: &Config, findings: &mut Vec<Finding>) {
-    let mut alloc: BTreeSet<usize> = BTreeSet::new();
-    for spec in &cfg.tape_alloc_fns {
-        alloc.extend(graph.match_spec(spec));
-    }
-    if alloc.is_empty() {
-        return;
-    }
-    for spec in &cfg.tape_pure_fns {
-        for entry in graph.match_spec(spec) {
-            let mut seed = BTreeSet::new();
-            seed.insert(entry);
-            let parents = graph.parents_from_set(&seed);
-            // Deterministic witness: the lexically-first reached alloc fn.
-            let Some(&hit) = alloc.iter().find(|t| parents.contains_key(t)) else {
-                continue;
-            };
-            let f = &graph.fns[entry];
-            findings.push(Finding {
-                file: f.file.clone(),
-                line: f.line,
-                rule: RuleId::TapePurity,
-                message: format!(
-                    "`{}` reaches tape allocation `{}`: the inference fast \
-                     path must not build a tape",
-                    f.qualified(),
-                    graph.fns[hit].qualified()
-                ),
-                witness: graph.chain(&parents, hit),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -778,39 +732,6 @@ mod tests {
                 .any(|f| f.rule == RuleId::LockAcrossCall && f.message.contains("deadlock")),
             "{:#?}",
             d.findings
-        );
-    }
-
-    #[test]
-    fn tape_purity_flags_transitive_tape_allocation() {
-        let d = flow(
-            &[(
-                "crates/x/src/lib.rs",
-                r#"
-                impl Tape { pub fn push(&mut self) {} }
-                impl Net {
-                    fn forward_infer(&self) { self.helper(); }
-                    fn helper(&self) { Tape::push(); }
-                }
-                impl CleanNet {
-                    fn forward_infer(&self) { pure_math(); }
-                }
-                fn pure_math() {}
-                "#,
-            )],
-            &Config::default(),
-        );
-        let hits: Vec<&Finding> = d
-            .findings
-            .iter()
-            .filter(|f| f.rule == RuleId::TapePurity)
-            .collect();
-        assert_eq!(hits.len(), 1, "{:#?}", d.findings);
-        assert!(hits[0].message.contains("Net::forward_infer"), "{hits:?}");
-        assert!(
-            hits[0].witness.last().unwrap().ends_with("Tape::push"),
-            "{:?}",
-            hits[0].witness
         );
     }
 

@@ -128,7 +128,12 @@ pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Analysis {
     }
     findings.sort();
 
-    let census = census::run(&graph, &cfg.inference_entry_points, &files);
+    let census = census::run(
+        &graph,
+        &cfg.inference_entry_points,
+        &cfg.tape_alloc_fns,
+        &files,
+    );
     let stats = GraphStats {
         files: files.len(),
         fns: graph.fns.len(),

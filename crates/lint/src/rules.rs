@@ -50,7 +50,6 @@ pub enum RuleId {
     HotLock,
     LockCycle,
     LockAcrossCall,
-    TapePurity,
     Pragma,
     UnusedAllow,
 }
@@ -73,7 +72,6 @@ impl RuleId {
             RuleId::HotLock => "hot-lock",
             RuleId::LockCycle => "lock-cycle",
             RuleId::LockAcrossCall => "lock-across-call",
-            RuleId::TapePurity => "tape-purity",
             RuleId::Pragma => "pragma",
             RuleId::UnusedAllow => "unused-allow",
         }
@@ -97,7 +95,6 @@ impl RuleId {
             | RuleId::HotLock
             | RuleId::LockCycle
             | RuleId::LockAcrossCall => "concurrency",
-            RuleId::TapePurity => "purity",
             RuleId::Pragma | RuleId::UnusedAllow => "meta",
         }
     }
@@ -120,7 +117,6 @@ pub const ALL_RULES: &[RuleId] = &[
     RuleId::HotLock,
     RuleId::LockCycle,
     RuleId::LockAcrossCall,
-    RuleId::TapePurity,
     RuleId::Pragma,
     RuleId::UnusedAllow,
 ];
@@ -167,11 +163,11 @@ pub struct Config {
     /// reports every source site that can reach one of these over the call
     /// graph (`taint-flow`), with the witness chain.
     pub taint_sinks: Vec<String>,
-    /// Tape-purity entry points: fn specs that must never reach a tape
-    /// allocation (the tape-free inference fast path).
-    pub tape_pure_fns: Vec<String>,
-    /// Tape-allocation targets for the purity rule: fn specs that allocate
-    /// or grow an autograd tape.
+    /// Fn specs that allocate or grow an autograd tape: the tape and its
+    /// executor. Forward bodies generic over the executor reach them
+    /// statically, but only training runs them, so the allocation census
+    /// stops here (`crates/gnn/tests/serving_allocs.rs` checks at run time
+    /// that serving builds no tape).
     pub tape_alloc_fns: Vec<String>,
 }
 
@@ -261,8 +257,7 @@ impl Default for Config {
                 // checkpoint payloads
                 "save_checkpoint".into(),
             ],
-            tape_pure_fns: vec!["forward_infer".into()],
-            tape_alloc_fns: vec!["Tape::*".into()],
+            tape_alloc_fns: vec!["Tape::*".into(), "TapeExec::*".into()],
         }
     }
 }

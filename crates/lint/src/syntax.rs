@@ -57,6 +57,9 @@ pub struct CallSite {
     /// somewhere and is eventually invoked, so it is an edge too
     /// (fn-pointer under-approximation shrinks to bare-ident refs only).
     pub is_ref: bool,
+    /// For `self.m(…).f(…)`, the method `m` whose result is the receiver:
+    /// the resolver types the receiver by `m`'s declared return type.
+    pub recv_call: Option<String>,
 }
 
 /// One `fn` item (free function, inherent/trait method, or nested fn).
@@ -66,6 +69,17 @@ pub struct FnItem {
     /// Enclosing `impl`/`trait` self type, e.g. `Matrix` for
     /// `impl Matrix { fn zeros … }`. `None` for free functions.
     pub receiver: Option<String>,
+    /// The trait of an enclosing `impl Trait for Type` block (last path
+    /// segment: `Exec` for `impl glint_tensor::Exec for TapeExec<'_>`).
+    /// `None` for inherent impls, trait items and free functions.
+    pub impl_trait: Option<String>,
+    /// Leading type name of the declared return type (`-> &'a Matrix` →
+    /// `Matrix`, `-> Option<Var>` → `Option`), if any.
+    pub ret: Option<String>,
+    /// The fn's generic bounds, one `(param, trait)` entry per bound, from
+    /// both the `<…>` list and the `where` clause: `fn f<X: Exec + Clone>`
+    /// → `[("X", "Exec"), ("X", "Clone")]` (last path segment of each).
+    pub bounds: Vec<(String, String)>,
     /// Parameter name → type (last identifier of the type at the param's
     /// top level: `ctx: &mut InferCtx` → `("ctx", "InferCtx")`). Destructured
     /// patterns are skipped. The resolver uses this as positive receiver
@@ -119,6 +133,7 @@ impl FileSyntax {
         let mut out = ParseOut::default();
         let ctx = Ctx {
             receiver: None,
+            impl_trait: None,
             module: Vec::new(),
             is_test: false,
             cfg_feature: None,
@@ -165,6 +180,7 @@ struct ParseOut {
 #[derive(Clone)]
 struct Ctx {
     receiver: Option<String>,
+    impl_trait: Option<String>,
     module: Vec<String>,
     is_test: bool,
     cfg_feature: Option<String>,
@@ -238,10 +254,19 @@ fn parse_items(toks: &[Tok], from: usize, to: usize, ctx: &Ctx, out: &mut ParseO
                     i += 1;
                     continue;
                 };
-                let (params, body, next) = parse_fn_after_name(toks, i + 2, to);
+                let FnSig {
+                    params,
+                    ret,
+                    bounds,
+                    body,
+                    next,
+                } = parse_fn_after_name(toks, i + 2, to);
                 out.fns.push(FnItem {
                     name: name_tok.text.clone(),
                     receiver: ctx.receiver.clone(),
+                    impl_trait: ctx.impl_trait.clone(),
+                    ret,
+                    bounds,
                     params,
                     module: ctx.module.clone(),
                     line: name_tok.line,
@@ -255,6 +280,7 @@ fn parse_items(toks: &[Tok], from: usize, to: usize, ctx: &Ctx, out: &mut ParseO
                 if let Some((bs, be)) = body {
                     let inner = Ctx {
                         receiver: None,
+                        impl_trait: None,
                         module: ctx.module.clone(),
                         is_test: ctx.is_test || pending.is_test,
                         cfg_feature: pending.feature.clone().or_else(|| ctx.cfg_feature.clone()),
@@ -295,7 +321,11 @@ fn parse_items(toks: &[Tok], from: usize, to: usize, ctx: &Ctx, out: &mut ParseO
             }
             "impl" | "trait" => {
                 let is_impl = t.text == "impl";
-                let (self_ty, body_start) = parse_impl_header(toks, i + 1, to, is_impl);
+                let ImplHeader {
+                    self_ty,
+                    impl_trait,
+                    body_start,
+                } = parse_impl_header(toks, i + 1, to, is_impl);
                 if !is_impl {
                     if let Some(name) = &self_ty {
                         out.traits.push(name.clone());
@@ -309,6 +339,7 @@ fn parse_items(toks: &[Tok], from: usize, to: usize, ctx: &Ctx, out: &mut ParseO
                 let be = skip_balanced(toks, bs, "{", "}");
                 let inner = Ctx {
                     receiver: self_ty,
+                    impl_trait,
                     module: ctx.module.clone(),
                     is_test: ctx.is_test || pending.is_test,
                     cfg_feature: pending.feature.clone().or_else(|| ctx.cfg_feature.clone()),
@@ -330,6 +361,7 @@ fn parse_items(toks: &[Tok], from: usize, to: usize, ctx: &Ctx, out: &mut ParseO
                         module.push(name);
                         let inner = Ctx {
                             receiver: None,
+                            impl_trait: None,
                             module,
                             is_test: ctx.is_test || pending.is_test,
                             cfg_feature: pending
@@ -420,15 +452,27 @@ fn parse_field_list(toks: &[Tok], from: usize, to: usize) -> Vec<(String, String
     out
 }
 
-/// Parsed fn signature tail: (params, body token range, resume index).
-type FnSigTail = (Vec<(String, String)>, Option<(usize, usize)>, usize);
+/// Parsed fn signature tail.
+struct FnSig {
+    params: Vec<(String, String)>,
+    ret: Option<String>,
+    bounds: Vec<(String, String)>,
+    /// Body token range, if any.
+    body: Option<(usize, usize)>,
+    /// Index to continue scanning from.
+    next: usize,
+}
 
-/// After `fn name`, skip generics + args + return type; return the parsed
-/// params, the body range (if any), and the index to continue scanning from.
-fn parse_fn_after_name(toks: &[Tok], mut i: usize, to: usize) -> FnSigTail {
+/// After `fn name`, parse generics + args + return type + where clause;
+/// return the params, the generic bounds, the body range (if any), and
+/// the index to continue scanning from.
+fn parse_fn_after_name(toks: &[Tok], mut i: usize, to: usize) -> FnSig {
+    let mut bounds = Vec::new();
     // Optional generic params.
     if toks.get(i).map(|t| t.text.as_str()) == Some("<") {
-        i = skip_angles(toks, i, to);
+        let close = skip_angles(toks, i, to);
+        parse_bounds(toks, i + 1, close.saturating_sub(1), &mut bounds);
+        i = close;
     }
     // Argument list.
     let mut params = Vec::new();
@@ -437,39 +481,131 @@ fn parse_fn_after_name(toks: &[Tok], mut i: usize, to: usize) -> FnSigTail {
         params = parse_field_list(toks, i + 1, close.saturating_sub(1));
         i = close;
     }
+    let ret = match toks.get(i) {
+        Some(t) if t.text == "->" => leading_type(toks, i + 1, to),
+        _ => None,
+    };
     // Return type / where clause: scan to `{` or `;` at angle-depth 0.
     let mut angle = 0i32;
+    let mut where_at = None;
     while i < to {
         match toks[i].text.as_str() {
             "<" => angle += 1,
             ">" => angle -= 1,
             "<<" => angle += 2,
             ">>" => angle -= 2,
-            "{" if angle <= 0 => {
-                let end = skip_balanced(toks, i, "{", "}");
-                return (params, Some((i, end)), end);
+            "where" if angle <= 0 => where_at = Some(i + 1),
+            "{" | ";" if angle <= 0 => {
+                if let Some(w) = where_at {
+                    parse_bounds(toks, w, i, &mut bounds);
+                }
+                let body = (toks[i].text == "{").then(|| (i, skip_balanced(toks, i, "{", "}")));
+                let next = body.map_or(i + 1, |(_, end)| end);
+                return FnSig {
+                    params,
+                    ret,
+                    bounds,
+                    body,
+                    next,
+                };
             }
-            ";" if angle <= 0 => return (params, None, i + 1),
             _ => {}
         }
         i += 1;
     }
-    (params, None, i)
+    FnSig {
+        params,
+        ret,
+        bounds,
+        body: None,
+        next: i,
+    }
 }
 
-/// Parse an `impl`/`trait` header starting just past the keyword. Returns
-/// the self-type name (last path segment at angle-depth 0, after `for` if
-/// present) and the index of the opening `{`.
-fn parse_impl_header(
-    toks: &[Tok],
-    mut i: usize,
-    to: usize,
-    is_impl: bool,
-) -> (Option<String>, Option<usize>) {
+/// The type name a type starting at `i` leads with: references, `mut`,
+/// lifetimes, `dyn` and `impl` skipped, last segment of the first path
+/// (`&'a glint_tensor::Matrix` → `Matrix`). `None` for tuples, slices
+/// and other non-path types.
+fn leading_type(toks: &[Tok], mut i: usize, to: usize) -> Option<String> {
+    while i < to
+        && (toks[i].kind == TokKind::Lifetime
+            || matches!(toks[i].text.as_str(), "&" | "mut" | "dyn" | "impl"))
+    {
+        i += 1;
+    }
+    let mut last = None;
+    while i < to && toks[i].kind == TokKind::Ident {
+        last = Some(toks[i].text.clone());
+        if toks.get(i + 1).map(|t| t.text.as_str()) != Some("::") {
+            break;
+        }
+        i += 2;
+    }
+    last
+}
+
+/// Trait bounds in `[from, to)`, a `<…>` generics list or a `where`
+/// clause: one `(param, trait)` entry per bound, the trait named by the
+/// last segment of its path (`X: glint_tensor::Exec + Clone` → `(X, Exec)`,
+/// `(X, Clone)`; `F: FnMut(…) -> T` → `(F, FnMut)`). Lifetime bounds add
+/// nothing; `const N: usize` adds a harmless `(N, usize)`.
+fn parse_bounds(toks: &[Tok], from: usize, to: usize, out: &mut Vec<(String, String)>) {
+    let to = to.min(toks.len());
+    let mut param: Option<&str> = None;
+    let mut depth = 0i32;
+    let mut i = from;
+    while i < to {
+        match toks[i].text.as_str() {
+            "<" | "(" | "[" => depth += 1,
+            ">" | ")" | "]" => depth -= 1,
+            "<<" => depth += 2,
+            ">>" => depth -= 2,
+            "," if depth == 0 => param = None,
+            ":" | "+" if depth == 0 => {
+                if toks[i].text == ":" {
+                    param = (i > from && toks[i - 1].kind == TokKind::Ident)
+                        .then(|| toks[i - 1].text.as_str());
+                }
+                // the bound's path: `a::b::C`
+                let mut last = None;
+                while i + 1 < to && toks[i + 1].kind == TokKind::Ident {
+                    last = Some(toks[i + 1].text.as_str());
+                    if toks.get(i + 2).map(|t| t.text.as_str()) != Some("::") {
+                        break;
+                    }
+                    i += 2;
+                }
+                if let (Some(p), Some(b)) = (param, last) {
+                    out.push((p.to_string(), b.to_string()));
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+}
+
+/// A parsed `impl`/`trait` header.
+struct ImplHeader {
+    /// The self type: last path segment at angle-depth 0, after `for` if
+    /// present (the trait's own name for `trait` items).
+    self_ty: Option<String>,
+    /// The implemented trait of `impl Trait for Type`.
+    impl_trait: Option<String>,
+    /// Index of the opening `{`.
+    body_start: Option<usize>,
+}
+
+/// Parse an `impl`/`trait` header starting just past the keyword.
+fn parse_impl_header(toks: &[Tok], mut i: usize, to: usize, is_impl: bool) -> ImplHeader {
     if toks.get(i).map(|t| t.text.as_str()) == Some("<") {
         i = skip_angles(toks, i, to);
     }
-    let mut self_ty: Option<String> = None;
+    let mut h = ImplHeader {
+        self_ty: None,
+        impl_trait: None,
+        body_start: None,
+    };
     let mut angle = 0i32;
     // After `:` in a trait header (`trait Scorer: Send + Sync`), idents are
     // supertraits, not the trait's own name.
@@ -481,25 +617,30 @@ fn parse_impl_header(
             ">" => angle -= 1,
             "<<" => angle += 2,
             ">>" => angle -= 2,
-            "{" if angle <= 0 => return (self_ty, Some(i)),
-            ";" if angle <= 0 => return (self_ty, None), // `impl Trait for T;`-ish
-            "for" if angle <= 0 && is_impl => self_ty = None, // real type follows
+            "{" if angle <= 0 => {
+                h.body_start = Some(i);
+                return h;
+            }
+            ";" if angle <= 0 => return h, // `impl Trait for T;`-ish
+            // the trait was named; the real type follows
+            "for" if angle <= 0 && is_impl => h.impl_trait = h.self_ty.take(),
             ":" if angle <= 0 && !is_impl => frozen = true,
             "where" if angle <= 0 => {
                 // where-clause: self type is already known; find the `{`.
                 while i < to && toks[i].text != "{" {
                     i += 1;
                 }
-                return (self_ty, (i < to).then_some(i));
+                h.body_start = (i < to).then_some(i);
+                return h;
             }
             _ if t.kind == TokKind::Ident && angle <= 0 && !frozen => {
-                self_ty = Some(t.text.clone());
+                h.self_ty = Some(t.text.clone());
             }
             _ => {}
         }
         i += 1;
     }
-    (self_ty, None)
+    h
 }
 
 /// Skip a balanced `<…>` generic group starting at `<`.
@@ -553,24 +694,25 @@ const NON_CALL_KEYWORDS: &[&str] = &[
     "break", "continue", "where", "impl", "dyn",
 ];
 
-/// Extract call sites from `[start, end)`, skipping `exclude` sub-ranges
-/// (nested fn bodies).
-/// Token index of the `[` opening the group that closes at `close` (which
-/// must point at `]`), bounded below by `floor`.
+/// Token index of the `[` / `(` opening the group that closes at `close`
+/// (which must point at `]` / `)`), bounded below by `floor`.
 fn open_of(toks: &[Tok], close: usize, floor: usize) -> Option<usize> {
+    let (open, shut) = match toks.get(close)?.text.as_str() {
+        "]" => ("[", "]"),
+        ")" => ("(", ")"),
+        _ => return None,
+    };
     let mut depth = 0i32;
     let mut j = close + 1;
     while j > floor {
         j -= 1;
-        match toks[j].text.as_str() {
-            "]" => depth += 1,
-            "[" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(j);
-                }
+        if toks[j].text == shut {
+            depth += 1;
+        } else if toks[j].text == open {
+            depth -= 1;
+            if depth == 0 {
+                return Some(j);
             }
-            _ => {}
         }
     }
     None
@@ -667,6 +809,8 @@ fn loop_bindings(toks: &[Tok], start: usize, end: usize) -> Vec<(String, String)
     out
 }
 
+/// Extract call sites from `[start, end)`, skipping `exclude` sub-ranges
+/// (nested fn bodies).
 fn extract_calls(
     toks: &[Tok],
     start: usize,
@@ -735,12 +879,14 @@ fn extract_calls(
                         line: t.line,
                         tok: i,
                         is_ref: true,
+                        recv_call: None,
                     });
                 }
             }
             i += 1;
             continue;
         }
+        let mut recv_call = None;
         let kind = match i.checked_sub(1).map(|p| toks[p].text.as_str()) {
             Some(".") => {
                 let ident_at = |j: Option<usize>| {
@@ -752,8 +898,22 @@ fn extract_calls(
                 // index group; walk back over the balanced `[…]` so the
                 // field still provides type evidence (`self.pools[d].f(…)`).
                 let mut recv_pos = i.checked_sub(2);
-                if recv_pos.map(|p| toks[p].text.as_str()) == Some("]") {
-                    recv_pos = open_of(toks, i - 2, start).and_then(|o| o.checked_sub(1));
+                match recv_pos.map(|p| toks[p].text.as_str()) {
+                    Some("]") => {
+                        recv_pos = open_of(toks, i - 2, start).and_then(|o| o.checked_sub(1));
+                    }
+                    // `self.m(…).method(…)` — the receiver is what the
+                    // caller's own method `m` returns.
+                    Some(")") => {
+                        let m = open_of(toks, i - 2, start).and_then(|o| o.checked_sub(1));
+                        let on_self = m
+                            .and_then(|m| m.checked_sub(2))
+                            .is_some_and(|s| toks[s].text == "self" && toks[s + 1].text == ".");
+                        if on_self {
+                            recv_call = ident_at(m);
+                        }
+                    }
+                    _ => {}
                 }
                 let recv_ident = ident_at(recv_pos);
                 // `base.field.method(…)` — record `base` so the resolver can
@@ -797,6 +957,7 @@ fn extract_calls(
             line: t.line,
             tok: i,
             is_ref: false,
+            recv_call,
         });
         i += 1;
     }
@@ -954,6 +1115,49 @@ mod tests {
         assert_eq!(find(&fs, "score").receiver.as_deref(), Some("Scorer"));
         assert!(find(&fs, "score").body.is_none(), "bodiless trait decl");
         assert!(find(&fs, "scaled").body.is_some());
+    }
+
+    #[test]
+    fn impl_traits_generic_bounds_and_return_types_are_recorded() {
+        let fs = FileSyntax::parse(
+            "x.rs",
+            r#"
+            impl<'a> glint_tensor::Exec for TapeExec<'a> {
+                fn value<'v>(&'v self, a: &'v Var) -> &'v glint_tensor::Matrix { self.tape.value(*a) }
+            }
+            impl Net {
+                fn forward<X: Exec + Clone, const N: usize>(&self, x: &mut X) -> Option<X> { None }
+                fn rows<I, F>(&self, items: I, f: F) -> (usize, usize)
+                where
+                    I: ExactSizeIterator<Item = usize>,
+                    F: FnMut(&mut Self, I::Item) -> X::T,
+                {
+                    self.cache(1).len()
+                }
+            }
+            "#,
+        );
+        let value = find(&fs, "value");
+        assert_eq!(value.receiver.as_deref(), Some("TapeExec"));
+        assert_eq!(value.impl_trait.as_deref(), Some("Exec"));
+        assert_eq!(value.ret.as_deref(), Some("Matrix"));
+        let forward = find(&fs, "forward");
+        assert!(forward.impl_trait.is_none());
+        assert_eq!(forward.ret.as_deref(), Some("Option"));
+        let pair = |a: &str, b: &str| (a.to_string(), b.to_string());
+        assert_eq!(
+            forward.bounds,
+            [pair("X", "Exec"), pair("X", "Clone"), pair("N", "usize")]
+        );
+        let rows = find(&fs, "rows");
+        assert_eq!(
+            rows.bounds,
+            [pair("I", "ExactSizeIterator"), pair("F", "FnMut")]
+        );
+        assert!(rows.ret.is_none(), "tuple return types lead with no name");
+        // `self.cache(1).len()`: the receiver is what `cache` returns.
+        let len = rows.calls.iter().find(|c| c.name == "len").unwrap();
+        assert_eq!(len.recv_call.as_deref(), Some("cache"));
     }
 
     #[test]

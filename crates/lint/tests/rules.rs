@@ -242,12 +242,6 @@ fn lock_order_rules_catch_cycles_and_holds_across_locking_callees() {
 }
 
 #[test]
-fn tape_purity_flags_inference_fns_that_allocate_tapes() {
-    let f = lint_fixture(include_str!("fixtures/bad_tape.rs"));
-    assert!(count(&f, RuleId::TapePurity) >= 1, "{f:?}");
-}
-
-#[test]
 fn malformed_pragmas_are_reported_and_do_not_suppress() {
     let f = lint_fixture(include_str!("fixtures/bad_pragma.rs"));
     // unjustified, unknown rule, empty allow(), block comment → pragma

@@ -19,21 +19,20 @@
 //!   identical** to a tape forward at any thread count (property-tested in
 //!   `crates/gnn/tests/infer_equiv.rs`).
 //! - Fused affine+activation kernels ([`InferCtx::linear_relu`],
-//!   [`InferCtx::linear_sigmoid`]) and in-place element-wise helpers: the
-//!   bias add and the activation are applied in one pass over the product
-//!   buffer. Fusion here is *element-wise only* — each output element sees
-//!   the same sequence of f32 operations as the unfused tape ops, so
-//!   bitwise equivalence survives. Matmul/spmm accumulation is never fused
-//!   into an existing accumulator (that would reorder the floating-point
-//!   reduction).
+//!   [`InferCtx::linear_sigmoid`]): the bias add and the activation are
+//!   applied in one pass over the product buffer. Fusion here is
+//!   *element-wise only* — each output element sees the same sequence of
+//!   f32 operations as the unfused tape ops, so bitwise equivalence
+//!   survives. Matmul/spmm accumulation is never fused into an existing
+//!   accumulator (that would reorder the floating-point reduction).
 //! - [`with_ctx`] — a thread-local context. Repeated assessments on a
 //!   persistent thread reach a steady state where the pool serves every
 //!   activation and the serving path stops allocating matrices entirely.
 //!
-//! The tape stays authoritative for training: gradients, strict-mode
-//! checks and the optimizer all hang off it. This module only ever
-//! re-implements *value* computation, and the equivalence proptests pin it
-//! to the tape op-for-op.
+//! The layers never call these kernels directly: they are written once
+//! against [`crate::exec::Exec`], and [`crate::exec::InferExec`] maps each
+//! op onto a kernel here (in-place element-wise ops included). The tape
+//! stays authoritative for training; this module only computes values.
 
 use crate::{Csr, Matrix};
 use std::cell::RefCell;
@@ -115,13 +114,6 @@ impl InferCtx {
         for x in m.data_mut() {
             *x = value;
         }
-        m
-    }
-
-    /// Pooled copy of an existing matrix.
-    pub fn copy_of(&mut self, src: &Matrix) -> Matrix {
-        let mut m = self.pool.acquire(src.rows(), src.cols());
-        m.data_mut().copy_from_slice(src.data());
         m
     }
 
@@ -239,7 +231,7 @@ impl InferCtx {
 
     /// `Σ_p w[0,p] · hs[p]` (mirrors `Tape::weighted_sum`: a zeroed
     /// accumulator receiving the same `axpy` sequence in order).
-    pub fn weighted_sum(&mut self, hs: &[&Matrix], w: &Matrix) -> Matrix {
+    pub fn weighted_sum(&mut self, hs: &[Matrix], w: &Matrix) -> Matrix {
         assert!(!hs.is_empty());
         assert_eq!(w.shape(), (1, hs.len()), "weights must be 1×P");
         let shape = hs[0].shape();
@@ -264,39 +256,6 @@ fn fused_bias_act(out: &mut Matrix, bias: &Matrix, act: impl Fn(f32) -> f32) {
             *o = act(*o + b);
         }
     }
-}
-
-// ---- in-place element-wise helpers (mirror the tape's value maps) ----
-
-/// `a += b` element-wise (mirrors `Tape::add`'s `a + b` value).
-pub fn add_assign(a: &mut Matrix, b: &Matrix) {
-    assert_eq!(a.shape(), b.shape(), "add_assign shape mismatch");
-    for (x, &y) in a.data_mut().iter_mut().zip(b.data()) {
-        *x += y;
-    }
-}
-
-/// `a *= b` element-wise (mirrors `Tape::mul`'s Hadamard value).
-pub fn mul_assign(a: &mut Matrix, b: &Matrix) {
-    assert_eq!(a.shape(), b.shape(), "mul_assign shape mismatch");
-    for (x, &y) in a.data_mut().iter_mut().zip(b.data()) {
-        *x *= y;
-    }
-}
-
-/// In-place ReLU (mirrors `Tape::relu`'s `x.max(0.0)` map).
-pub fn relu_inplace(m: &mut Matrix) {
-    m.map_inplace(|x| x.max(0.0));
-}
-
-/// In-place logistic sigmoid (mirrors `Tape::sigmoid`'s map).
-pub fn sigmoid_inplace(m: &mut Matrix) {
-    m.map_inplace(|x| 1.0 / (1.0 + (-x).exp()));
-}
-
-/// In-place tanh (mirrors `Tape::tanh`'s map).
-pub fn tanh_inplace(m: &mut Matrix) {
-    m.map_inplace(f32::tanh);
 }
 
 thread_local! {
@@ -401,7 +360,7 @@ mod tests {
         let h1 = Matrix::row_vector(vec![3.0, 4.0]);
         let w = Matrix::row_vector(vec![0.25, 0.75]);
         let mut ctx = InferCtx::new();
-        let out = ctx.weighted_sum(&[&h0, &h1], &w);
+        let out = ctx.weighted_sum(&[h0.clone(), h1.clone()], &w);
         let mut reference = Matrix::zeros(1, 2);
         reference.axpy(0.25, &h0);
         reference.axpy(0.75, &h1);

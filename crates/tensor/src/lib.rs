@@ -6,9 +6,11 @@
 //! minimal-but-complete stand-in: a row-major [`Matrix`] type with the dense
 //! kernels GNN training needs, a CSR sparse matrix ([`csr::Csr`]) for
 //! normalized adjacency propagation, a tape-based reverse-mode autograd
-//! engine ([`tape::Tape`]), parameter initialization, first-order
-//! optimizers (SGD with momentum, Adam), and durable training checkpoints
-//! ([`checkpoint`]) for crash-safe resume-exact training.
+//! engine ([`tape::Tape`]), a tape-free serving path ([`infer`]), the
+//! [`exec::Exec`] op set that lets one forward body run on either,
+//! parameter initialization, first-order optimizers (SGD with momentum,
+//! Adam), and durable training checkpoints ([`checkpoint`]) for
+//! crash-safe resume-exact training.
 //!
 //! Design notes (following the Rust performance-book idioms):
 //! - all tensors are `f32`, row-major, contiguous `Vec<f32>`;
@@ -19,6 +21,7 @@
 
 pub mod checkpoint;
 pub mod csr;
+pub mod exec;
 pub mod grad_check;
 pub mod infer;
 pub mod init;
@@ -29,6 +32,7 @@ pub mod tape;
 
 pub use checkpoint::{load_checkpoint, save_checkpoint, CheckpointError, TrainCheckpoint};
 pub use csr::Csr;
+pub use exec::{Exec, InferExec, TapeExec};
 pub use infer::{BufferPool, InferCtx};
 pub use matrix::Matrix;
 pub use optim::{Adam, AdamState, Optimizer, ParamId, ParamMismatch, ParamSet, Sgd};

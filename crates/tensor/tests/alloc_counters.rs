@@ -9,18 +9,24 @@
 //! 2. the pooled inference kernels stop allocating after warm-up, and a
 //!    fixed training loop stays under a pinned allocation ceiling.
 //!
-//! The trace registry is process-global, so every test that toggles it
-//! serializes on one lock and leaves tracing disabled on exit.
+//! The trace registry is process-global, so every test holds one lock for
+//! its whole body — an unmetered warm-up must not allocate while another
+//! test is counting — and leaves tracing disabled on exit.
 
 use glint_tensor::{Adam, InferCtx, Matrix, Optimizer, ParamSet, Sgd, Tape};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
 
+/// Run the calling test alone among this binary's tests.
+fn serial() -> MutexGuard<'static, ()> {
+    TRACE_LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// Run `f` with tracing enabled and a clean registry; returns `f`'s value
 /// (typically counter readings taken inside). Restores the disabled state.
+/// The caller holds [`serial`].
 fn with_trace<R>(f: impl FnOnce() -> R) -> R {
-    let _guard = TRACE_LOCK.lock().unwrap_or_else(|p| p.into_inner());
     glint_trace::set_enabled(true);
     glint_trace::reset();
     let out = f();
@@ -66,6 +72,7 @@ fn two_params() -> ParamSet {
 
 #[test]
 fn adam_steps_allocate_nothing_after_warmup() {
+    let _serial = serial();
     let mut params = two_params();
     let mut opt = Adam::new(0.01).with_weight_decay(0.01);
     // Warm-up: the first step lazily allocates the m/v moment buffers.
@@ -81,6 +88,7 @@ fn adam_steps_allocate_nothing_after_warmup() {
 
 #[test]
 fn adam_warmup_allocates_exactly_the_moment_buffers() {
+    let _serial = serial();
     let mut params = two_params();
     let mut opt = Adam::new(0.01);
     // First step: m + v per parameter, nothing else.
@@ -90,6 +98,7 @@ fn adam_warmup_allocates_exactly_the_moment_buffers() {
 
 #[test]
 fn sgd_steps_allocate_nothing_after_warmup() {
+    let _serial = serial();
     let mut params = two_params();
     let mut opt = Sgd::new(0.01).with_momentum(0.9).with_weight_decay(0.01);
     // Warm-up: the first step lazily allocates the velocity buffers.
@@ -105,6 +114,7 @@ fn sgd_steps_allocate_nothing_after_warmup() {
 
 #[test]
 fn sgd_without_momentum_never_allocates() {
+    let _serial = serial();
     let mut params = two_params();
     let mut opt = Sgd::new(0.01);
     // No momentum → no state buffers: even the first step is free.
@@ -114,6 +124,7 @@ fn sgd_without_momentum_never_allocates() {
 
 #[test]
 fn pooled_inference_kernels_stop_allocating_once_warm() {
+    let _serial = serial();
     let a = Matrix::full(8, 12, 0.3);
     let b = Matrix::full(12, 8, 0.2);
     let bias = Matrix::full(1, 8, 0.05);
@@ -143,6 +154,7 @@ fn pooled_inference_kernels_stop_allocating_once_warm() {
 /// that keeps those allocations from creeping back.
 #[test]
 fn fixed_105_step_workload_stays_under_allocation_ceiling() {
+    let _serial = serial();
     let mut params = two_params();
     let mut opt = Adam::new(0.01);
     let allocs = with_trace(|| {

@@ -30,6 +30,13 @@ cargo test --workspace -q
 echo "== cargo test (GLINT_THREADS=1, forced serial) =="
 GLINT_THREADS=1 cargo test --workspace -q
 
+echo "== benchmark package (e2ebench/ builds against the workspace and passes its tests) =="
+# e2ebench/ is a package of its own (empty [workspace] table), so neither the
+# workspace build nor the test stages above compile it. A library change that
+# breaks the benchmark (e.g. a GraphModel signature its Counting wrapper
+# implements) fails here instead of when the benchmark is next run.
+cargo test --offline --release -q --manifest-path e2ebench/Cargo.toml
+
 echo "== cargo test (strict mode: shape/finiteness checks on every tape op) =="
 cargo test -q --features strict
 
@@ -74,9 +81,10 @@ echo "== scale churn smoke (sharded incremental pipeline at 10^3 homes) =="
 # delta ingest->verdict, dirty-set refresh, shard persistence) and enforces
 # the incremental-work ratchet with a non-zero exit: pairs re-mined and
 # homes re-embedded must stay strictly below the full-rebuild counterparts.
-# The smoke run writes to a scratch path; the committed BENCH_scale.json
-# (the 10^5-home run) is validated by the observability suite right after.
-GLINT_SCALE_HOMES=1000 GLINT_SCALE_OUT=target/BENCH_scale_smoke.json \
+# The smoke run writes to a scratch path (absolute: cargo runs a bench from
+# its package directory); the committed BENCH_scale.json (the 10^5-home run)
+# is validated by the observability suite right after.
+GLINT_SCALE_HOMES=1000 GLINT_SCALE_OUT="$PWD/target/BENCH_scale_smoke.json" \
   cargo bench -q -p glint-bench --bench micro_scale
 if ! test -s target/BENCH_scale_smoke.json; then
   echo "SCALE STAGE FAILED: target/BENCH_scale_smoke.json missing or empty" >&2

@@ -8,7 +8,6 @@
 use glint_gnn::batch::PreparedGraph;
 use glint_gnn::models::GraphModel;
 use glint_gnn::trainer::ClassifierTrainer;
-use glint_graph::graph::EdgeKind;
 use glint_graph::InteractionGraph;
 
 /// Per-node importance scores for the threat prediction, descending.
@@ -46,27 +45,28 @@ pub fn top_causes(model: &dyn GraphModel, g: &InteractionGraph, k: usize) -> Vec
         .collect()
 }
 
+/// `g` without node `drop`: the nodes after it shift down by one, and the
+/// edges touching it vanish.
 fn remove_node(g: &InteractionGraph, drop: usize) -> InteractionGraph {
-    let keep: Vec<usize> = (0..g.n_nodes()).filter(|&i| i != drop).collect();
-    let remap = |i: usize| keep.iter().position(|&k| k == i);
-    let nodes = keep.iter().map(|&i| g.node(i).clone()).collect();
+    let remap = |i: usize| (i != drop).then(|| i - usize::from(i > drop));
+    let nodes = (0..g.n_nodes())
+        .filter(|&i| i != drop)
+        .map(|i| g.node(i).clone())
+        .collect();
     let mut out = InteractionGraph::new(nodes);
     for &(u, v, kind) in g.edges() {
         if let (Some(nu), Some(nv)) = (remap(u), remap(v)) {
             out.add_edge(nu, nv, kind);
         }
     }
-    if let Some(l) = g.label {
-        out.label = Some(l);
-    }
-    let _ = EdgeKind::ActionTrigger;
+    out.label = g.label;
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use glint_graph::graph::{GraphLabel, Node};
+    use glint_graph::graph::{EdgeKind, GraphLabel, Node};
     use glint_rules::{Platform, RuleId};
 
     fn graph(n: usize) -> InteractionGraph {
@@ -93,6 +93,37 @@ mod tests {
         assert_eq!(r.n_edges(), 1);
         assert_eq!(r.edges()[0].0, 1);
         assert_eq!(r.edges()[0].1, 2);
+
+        // a 5-chain plus back, skip and shared-device edges of every kind
+        use EdgeKind::{ActionCondition as Ac, ActionTrigger as At, SharedDevice as Sd};
+        let mut g = graph(5);
+        for (u, v, kind) in [(4, 0, Ac), (0, 2, Sd), (2, 0, Sd), (3, 1, Ac)] {
+            g.add_edge(u, v, kind);
+        }
+        // dropping the first, a middle and the last node
+        let expected = [
+            (0, vec![(0, 1, At), (1, 2, At), (2, 3, At), (2, 0, Ac)]),
+            (2, vec![(0, 1, At), (2, 3, At), (3, 0, Ac), (2, 1, Ac)]),
+            (
+                4,
+                vec![
+                    (0, 1, At),
+                    (1, 2, At),
+                    (2, 3, At),
+                    (0, 2, Sd),
+                    (2, 0, Sd),
+                    (3, 1, Ac),
+                ],
+            ),
+        ];
+        for (drop, edges) in expected {
+            let r = remove_node(&g, drop);
+            assert_eq!(r.edges(), edges, "drop {drop}");
+            let kept: Vec<u32> = r.nodes().iter().map(|n| n.rule_id.0).collect();
+            let want: Vec<u32> = (0..5).filter(|&i| i != drop as u32).collect();
+            assert_eq!(kept, want, "drop {drop}");
+            assert_eq!(r.label, g.label);
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! optimized for cheap construction from edge lists and fast `A × H`
 //! products rather than for mutation.
 
+use crate::matrix::accumulate_row;
 use crate::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -202,10 +203,10 @@ impl Csr {
         out
     }
 
-    /// Rows `[row_lo, row_hi)` of `self × h` into `out_block` (a
-    /// zero-initialized slice covering exactly those output rows). Output
-    /// rows are independent in CSR, so the parallel layer partitions them
-    /// directly; each element sees the serial accumulation order.
+    /// Rows `[row_lo, row_hi)` of `self × h` into `out_block` (a slice
+    /// covering exactly those output rows). Output row `r` sums `v ×
+    /// h.row(c)` over row `r`'s stored entries in storage order; rows are
+    /// independent in CSR, so the parallel layer partitions them directly.
     pub(crate) fn spmm_block(
         &self,
         h: &Matrix,
@@ -213,19 +214,15 @@ impl Csr {
         row_hi: usize,
         out_block: &mut [f32],
     ) {
-        let w = h.cols();
-        debug_assert_eq!(out_block.len(), (row_hi - row_lo) * w);
-        for r in row_lo..row_hi {
-            let lo = self.indptr[r];
-            let hi = self.indptr[r + 1];
-            let out_row = &mut out_block[(r - row_lo) * w..(r - row_lo + 1) * w];
-            for k in lo..hi {
-                let c = self.indices[k];
-                let v = self.values[k];
-                for (o, &x) in out_row.iter_mut().zip(h.row(c)) {
-                    *o += v * x;
-                }
-            }
+        debug_assert_eq!(out_block.len(), (row_hi - row_lo) * h.cols());
+        let spans = self.indptr.iter().zip(self.indptr.iter().skip(1));
+        let out_rows = out_block.chunks_exact_mut(h.cols().max(1));
+        for ((&lo, &hi), out_row) in spans.skip(row_lo).zip(out_rows) {
+            let cols = self.indices.get(lo..hi).unwrap_or_default();
+            let vals = self.values.get(lo..hi).unwrap_or_default();
+            accumulate_row(out_row, || {
+                vals.iter().zip(cols).map(|(&v, &c)| (v, h.row(c)))
+            });
         }
     }
 
@@ -240,29 +237,17 @@ impl Csr {
             h.rows(),
             h.cols()
         );
+        let (col_ptr, entries) = self.csc_groups();
         let mut out = Matrix::zeros(self.cols, h.cols());
-        for r in 0..self.rows {
-            let lo = self.indptr[r];
-            let hi = self.indptr[r + 1];
-            let h_row = h.row(r);
-            for k in lo..hi {
-                let c = self.indices[k];
-                let v = self.values[k];
-                let out_row = out.row_mut(c);
-                for (o, &x) in out_row.iter_mut().zip(h_row) {
-                    *o += v * x;
-                }
-            }
-        }
+        self.t_spmm_block(h, &col_ptr, &entries, 0, self.cols, out.data_mut());
         out
     }
 
     /// Column-grouped (CSC) view of the stored entries: `(col_ptr, entries)`
     /// where `entries[col_ptr[c]..col_ptr[c + 1]]` lists the `(row, value)`
-    /// pairs of column `c` in **ascending row order**. That ordering is what
-    /// makes a column-partitioned `t_spmm` bitwise-identical to the serial
-    /// scatter loop: serially, output row `c` accumulates its contributions
-    /// in ascending source-row order too.
+    /// pairs of column `c` in **ascending row order** — the order in which a
+    /// row-major scatter would reach output row `c`. Both the serial and the
+    /// column-partitioned `t_spmm` run [`Self::t_spmm_block`] over this view.
     pub(crate) fn csc_groups(&self) -> (Vec<usize>, Vec<(usize, f32)>) {
         let mut col_ptr = vec![0usize; self.cols + 1];
         for &c in &self.indices {
@@ -284,9 +269,10 @@ impl Csr {
     }
 
     /// Output rows `[col_lo, col_hi)` of `selfᵀ × h` into `out_block`, using
-    /// a precomputed [`Self::csc_groups`] view. Each output row (= column of
-    /// `self`) is written by exactly one caller, so disjoint column ranges
-    /// can run on different threads.
+    /// a precomputed [`Self::csc_groups`] view. Output row `c` (= column `c`
+    /// of `self`) sums `v × h.row(r)` over ascending source row `r`; each is
+    /// written by exactly one caller, so disjoint column ranges can run on
+    /// different threads.
     pub(crate) fn t_spmm_block(
         &self,
         h: &Matrix,
@@ -296,15 +282,12 @@ impl Csr {
         col_hi: usize,
         out_block: &mut [f32],
     ) {
-        let w = h.cols();
-        debug_assert_eq!(out_block.len(), (col_hi - col_lo) * w);
-        for c in col_lo..col_hi {
-            let out_row = &mut out_block[(c - col_lo) * w..(c - col_lo + 1) * w];
-            for &(r, v) in &entries[col_ptr[c]..col_ptr[c + 1]] {
-                for (o, &x) in out_row.iter_mut().zip(h.row(r)) {
-                    *o += v * x;
-                }
-            }
+        debug_assert_eq!(out_block.len(), (col_hi - col_lo) * h.cols());
+        let spans = col_ptr.iter().zip(col_ptr.iter().skip(1));
+        let out_rows = out_block.chunks_exact_mut(h.cols().max(1));
+        for ((&lo, &hi), out_row) in spans.skip(col_lo).zip(out_rows) {
+            let group = entries.get(lo..hi).unwrap_or_default();
+            accumulate_row(out_row, || group.iter().map(|&(r, v)| (v, h.row(r))));
         }
     }
 

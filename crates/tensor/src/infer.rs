@@ -9,8 +9,8 @@
 //!
 //! - [`BufferPool`] — a free list of activation buffers. Acquiring a matrix
 //!   reuses a previously released buffer when one is large enough
-//!   (re-zeroed, so the row-partitioned accumulation kernels see exactly
-//!   the state a fresh `Matrix::zeros` would give them); only a miss
+//!   (re-zeroed, so a kernel that accumulates into it sees exactly the
+//!   state a fresh `Matrix::zeros` would give it); only a miss
 //!   allocates, and only a miss ticks the `tensor.alloc.*` counters.
 //! - [`InferCtx`] — the pool plus forward kernels mirroring the tape op
 //!   set. Products go through `par::{matmul_into, spmm_into}`, which share

@@ -153,16 +153,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Per-row flags: is every element of the row finite? The zero-skip fast
-    /// paths below may only skip a `0 × b_row` product when that product is
-    /// exactly zero, i.e. when `b_row` has no NaN/Inf (IEEE 754: `0 × NaN`
-    /// and `0 × ∞` are NaN and must reach the accumulator).
-    pub(crate) fn finite_rows(&self) -> Vec<bool> {
-        (0..self.rows)
-            .map(|r| self.row(r).iter().all(|v| v.is_finite()))
-            .collect()
-    }
-
     /// Matrix product `self × rhs`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
@@ -171,8 +161,7 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let mut out = Matrix::zeros(self.rows, rhs.cols);
-        let b_finite = rhs.finite_rows();
-        matmul_block(self, rhs, &b_finite, 0, self.rows, &mut out.data);
+        matmul_block(self, rhs, 0, self.rows, &mut out.data);
         out
     }
 
@@ -184,8 +173,7 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let mut out = Matrix::zeros(self.cols, rhs.cols);
-        let b_finite = rhs.finite_rows();
-        t_matmul_block(self, rhs, &b_finite, 0, self.cols, &mut out.data);
+        t_matmul_block(self, rhs, 0, self.cols, &mut out.data);
         out
     }
 
@@ -475,76 +463,108 @@ impl Matrix {
 // Block kernels.
 //
 // Each function computes output rows `[row_lo, row_hi)` into `out_block`, a
-// slice covering exactly those rows of the (zero-initialized) result buffer.
-// The serial entry points above call them over the full row range; the
-// parallel layer (`par`) hands each worker a disjoint block via
-// `split_at_mut`. Because each output element is accumulated by exactly one
-// worker using exactly the serial per-element loop, the parallel results are
-// bitwise identical to the serial ones at any thread count.
+// slice covering exactly those rows of the result buffer. The serial entry
+// points above call them over the full row range; the parallel layer (`par`)
+// hands each worker a disjoint block via `split_at_mut`. Because each output
+// element is accumulated by exactly one worker using exactly the serial
+// per-element loop, the parallel results are bitwise identical to the serial
+// ones at any thread count.
 // ---------------------------------------------------------------------------
 
-/// Rows `[row_lo, row_hi)` of `a × rhs`. `b_finite` must be `rhs.finite_rows()`.
+/// Width, in `f32`s, of the column tile the dense-output kernels accumulate
+/// in. 32 keeps the accumulator in eight 128-bit registers on baseline
+/// x86-64 and covers the 32-wide attention products in one tile.
+const TILE: usize = 32;
+
+/// Store `Σ coef × src` into `out_row`, summing the `(coef, src)` pairs in
+/// the order `terms()` yields them — the one accumulation loop behind
+/// `matmul`, `t_matmul`, `spmm` and `t_spmm`. Every `src` row is as wide as
+/// `out_row`; `terms` is called once per tile.
+///
+/// The row is processed one [`TILE`]-wide column tile at a time: the tile's
+/// accumulator starts at +0.0, lives in registers for the whole pass over
+/// `terms`, and is stored once at the end. A last tile narrower than
+/// `TILE` is zeroed and accumulates in place. Each output element therefore
+/// sees `((0 + c₀s₀) + c₁s₁) + …` with one rounding per multiply and per
+/// add — no FMA, no partial sums, no reassociation — so the bits do not
+/// depend on the tile width, and every element of `out_row` is written.
+///
+/// There is no zero-skip: a `coef` of ±0 multiplies its row like any other.
+/// That costs nothing in exactness. Under round-to-nearest a sum is −0.0
+/// only when both addends are −0.0, so an accumulator that starts at +0.0
+/// is never −0.0, and adding a ±0 product leaves every value — ±∞ and NaN
+/// included — unchanged. And `0 × NaN` or `0 × ∞` still reaches the sum.
+#[inline]
+pub(crate) fn accumulate_row<'a, I>(out_row: &mut [f32], terms: impl Fn() -> I)
+where
+    I: Iterator<Item = (f32, &'a [f32])>,
+{
+    let mut col = 0;
+    let mut out_tiles = out_row.chunks_exact_mut(TILE);
+    for out_tile in &mut out_tiles {
+        let mut acc = [0.0f32; TILE];
+        for (coef, src) in terms() {
+            if let Some(src_tile) = src.get(col..).and_then(<[f32]>::first_chunk::<TILE>) {
+                for (a, &s) in acc.iter_mut().zip(src_tile) {
+                    *a += coef * s;
+                }
+            }
+        }
+        out_tile.copy_from_slice(&acc);
+        col += TILE;
+    }
+    let out_tail = out_tiles.into_remainder();
+    if !out_tail.is_empty() {
+        out_tail.fill(0.0);
+        for (coef, src) in terms() {
+            for (o, &s) in out_tail.iter_mut().zip(src.get(col..).unwrap_or_default()) {
+                *o += coef * s;
+            }
+        }
+    }
+}
+
+/// Rows `[row_lo, row_hi)` of `a × rhs`: output row `i` sums `a[i][k] ×
+/// rhs.row(k)` over ascending `k`.
 pub(crate) fn matmul_block(
     a: &Matrix,
     rhs: &Matrix,
-    b_finite: &[bool],
     row_lo: usize,
     row_hi: usize,
     out_block: &mut [f32],
 ) {
     debug_assert_eq!(out_block.len(), (row_hi - row_lo) * rhs.cols);
-    // ikj loop order: stream rhs rows, accumulate into the output row.
-    for i in row_lo..row_hi {
-        let a_row = a.row(i);
-        let out_row = &mut out_block[(i - row_lo) * rhs.cols..(i - row_lo + 1) * rhs.cols];
-        for (k, &av) in a_row.iter().enumerate() {
-            // glint-lint: allow(float-eq) — deliberate IEEE exact-zero skip:
-            // 0 × finite is exactly 0, and non-finite rhs rows disable it so
-            // 0 × NaN/inf still propagates
-            if av == 0.0 && b_finite[k] {
-                continue;
-            }
-            let b_row = rhs.row(k);
-            for (o, &b) in out_row.iter_mut().zip(b_row) {
-                *o += av * b;
-            }
-        }
+    let w = rhs.cols.max(1);
+    for (i, out_row) in (row_lo..row_hi).zip(out_block.chunks_exact_mut(w)) {
+        accumulate_row(out_row, || {
+            a.row(i).iter().copied().zip(rhs.data.chunks_exact(w))
+        });
     }
 }
 
 /// Output rows `[row_lo, row_hi)` of `aᵀ × rhs`. Output row `i` is the
-/// product of `a`'s column `i` with all of `rhs`; iterating `k` ascending
-/// preserves the serial accumulation order for every output element
-/// regardless of how the rows are partitioned.
+/// product of `a`'s column `i` with all of `rhs`, summed over ascending `k`
+/// whatever the row partition.
 pub(crate) fn t_matmul_block(
     a: &Matrix,
     rhs: &Matrix,
-    b_finite: &[bool],
     row_lo: usize,
     row_hi: usize,
     out_block: &mut [f32],
 ) {
     debug_assert_eq!(out_block.len(), (row_hi - row_lo) * rhs.cols);
-    for (k, &k_finite) in b_finite.iter().enumerate() {
-        let a_row = a.row(k);
-        let b_row = rhs.row(k);
-        for (i, &av) in a_row.iter().enumerate().take(row_hi).skip(row_lo) {
-            // glint-lint: allow(float-eq) — deliberate IEEE exact-zero skip,
-            // same contract as matmul_block above
-            if av == 0.0 && k_finite {
-                continue;
-            }
-            let out_row = &mut out_block[(i - row_lo) * rhs.cols..(i - row_lo + 1) * rhs.cols];
-            for (o, &b) in out_row.iter_mut().zip(b_row) {
-                *o += av * b;
-            }
-        }
+    let w = rhs.cols.max(1);
+    for (i, out_row) in (row_lo..row_hi).zip(out_block.chunks_exact_mut(w)) {
+        accumulate_row(out_row, || {
+            // column `i` of `a`; `a.cols > i`, so the step is never zero
+            let a_col = a.data.iter().skip(i).step_by(a.cols).copied();
+            a_col.zip(rhs.data.chunks_exact(w))
+        });
     }
 }
 
-/// Output rows `[row_lo, row_hi)` of `a × rhsᵀ`. Pure dot products — every
-/// element of both operands reaches the accumulator, so no finite-row
-/// bookkeeping is needed.
+/// Output rows `[row_lo, row_hi)` of `a × rhsᵀ`: every element is the dot
+/// product of two rows, summed over ascending `k`.
 pub(crate) fn matmul_t_block(
     a: &Matrix,
     rhs: &Matrix,
@@ -640,15 +660,15 @@ mod tests {
         let _ = a.matmul(&b);
     }
 
-    /// IEEE 754: `0 × NaN = NaN` and `0 × ∞ = NaN`. The zero-skip fast path
-    /// must not swallow them — a NaN that sneaks into an activation must
-    /// surface in the product, not vanish behind a sparsity optimization.
+    /// IEEE 754: `0 × NaN = NaN` and `0 × ∞ = NaN`. The kernels must not
+    /// swallow them — a NaN that sneaks into an activation must surface in
+    /// the product, not vanish behind a sparsity optimization.
     #[test]
     fn matmul_zero_times_nan_propagates() {
         let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![2.0, 0.0]]);
         let b = Matrix::from_rows(&[vec![f32::NAN, 3.0], vec![4.0, 5.0]]);
         let c = a.matmul(&b);
-        // row 0: 0×NaN + 1×4 must be NaN, 0×3 + 1×5 is skippable-clean
+        // row 0: 0×NaN + 1×4 must be NaN; 0×3 + 1×5 is an exact 5
         assert!(c.get(0, 0).is_nan(), "0 × NaN was skipped: {:?}", c);
         assert!(c.get(1, 0).is_nan(), "2 × NaN lost: {:?}", c);
         let b_inf = Matrix::from_rows(&[vec![f32::INFINITY, 3.0], vec![4.0, 5.0]]);
@@ -667,8 +687,8 @@ mod tests {
         let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![0.0, 2.0]]);
         let b = Matrix::from_rows(&[vec![f32::NAN, 1.0], vec![2.0, 3.0]]);
         let c = a.t_matmul(&b);
-        // out[0][0] = 0×NaN + 0×2 = NaN; out[0][1] = 0×1 + 0×3 = 0 (finite
-        // operands: the zero products are exact and may be skipped)
+        // out[0][0] = 0×NaN + 0×2 = NaN; out[0][1] = 0×1 + 0×3 = +0 (finite
+        // operands: the zero products leave the accumulator at exactly +0)
         assert!(c.get(0, 0).is_nan(), "{:?}", c);
         assert_eq!(c.get(0, 1), 0.0);
         assert_eq!(c.get(1, 1), 7.0);

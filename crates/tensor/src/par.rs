@@ -8,6 +8,14 @@
 //! is no atomics-based reduction and no operation reordering — parallel ==
 //! serial is an equality, not a tolerance.
 //!
+//! The dense-output kernels (`matmul`, `t_matmul`, `spmm`, `t_spmm`) share
+//! one register-tiled accumulation loop (`matrix::accumulate_row`): each
+//! output row is built in fixed-width column tiles whose accumulators stay
+//! in registers for the whole pass over the inner dimension, in ascending
+//! order, and are stored once. There is no zero-skip and no per-call scan
+//! of the operands, so a 1–8-row product on a tiny interaction graph costs
+//! its multiply-adds and nothing else.
+//!
 //! Thread-count resolution, in priority order:
 //! 1. a [`with_threads`] override on the current thread (used by tests and
 //!    by nested parallel sections to force serial execution in workers);
@@ -81,9 +89,9 @@ fn partition(n: usize, parts: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// Fan a row-partitioned kernel out over `threads` scoped workers. `out`
-/// must be zero-initialized; its buffer is split into disjoint row blocks
-/// via `split_at_mut`, so workers never share a cache line's ownership.
+/// Fan a row-partitioned kernel out over `threads` scoped workers. `out`'s
+/// buffer is split into disjoint row blocks via `split_at_mut`, so workers
+/// never share a cache line's ownership; each kernel overwrites its block.
 /// Workers run with a serial override in place: a kernel that itself calls
 /// a parallel kernel (e.g. through batched scoring) must not fan out again.
 fn run_partitioned<F>(out: &mut Matrix, threads: usize, kernel: F)
@@ -135,18 +143,18 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
         b.cols()
     );
     let mut out = Matrix::zeros(a.rows(), b.cols());
-    let b_finite = b.finite_rows();
     run_partitioned(&mut out, threads, |lo, hi, block| {
-        matmul_block(a, b, &b_finite, lo, hi, block)
+        matmul_block(a, b, lo, hi, block)
     });
     out
 }
 
-/// Parallel `a × b` into a caller-provided **zeroed** output buffer of shape
-/// `a.rows × b.cols`. Identical counters, dispatch thresholds, block kernel
-/// and therefore bitwise-identical results to [`matmul`] — the only
-/// difference is that the output allocation is the caller's (the tape-free
-/// inference path feeds pooled buffers through here; see `crate::infer`).
+/// Parallel `a × b` into a caller-provided output buffer of shape
+/// `a.rows × b.cols`, every element of which is overwritten. Identical
+/// counters, dispatch thresholds, block kernel and therefore
+/// bitwise-identical results to [`matmul`] — the only difference is that
+/// the output allocation is the caller's (the tape-free inference path
+/// feeds pooled buffers through here; see `crate::infer`).
 pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     if glint_trace::enabled() {
         glint_trace::counter("tensor.matmul.calls", 1);
@@ -169,14 +177,13 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         (a.rows(), b.cols()),
         "matmul_into output shape mismatch"
     );
-    let b_finite = b.finite_rows();
     let threads = current_threads();
     if threads <= 1 || a.rows() < 2 || a.rows() * a.cols() * b.cols() < MIN_PAR_WORK {
-        matmul_block(a, b, &b_finite, 0, a.rows(), out.data_mut());
+        matmul_block(a, b, 0, a.rows(), out.data_mut());
         return;
     }
     run_partitioned(out, threads, |lo, hi, block| {
-        matmul_block(a, b, &b_finite, lo, hi, block)
+        matmul_block(a, b, lo, hi, block)
     });
 }
 
@@ -203,9 +210,8 @@ pub fn t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         b.cols()
     );
     let mut out = Matrix::zeros(a.cols(), b.cols());
-    let b_finite = b.finite_rows();
     run_partitioned(&mut out, threads, |lo, hi, block| {
-        t_matmul_block(a, b, &b_finite, lo, hi, block)
+        t_matmul_block(a, b, lo, hi, block)
     });
     out
 }
@@ -265,10 +271,11 @@ pub fn spmm(a: &Csr, h: &Matrix) -> Matrix {
     out
 }
 
-/// Parallel sparse × dense `a × h` into a caller-provided **zeroed** output
-/// buffer of shape `a.rows × h.cols`. Identical counters, dispatch
-/// thresholds and block kernel to [`spmm`], so results are bitwise
-/// identical — only the output allocation moves to the caller.
+/// Parallel sparse × dense `a × h` into a caller-provided output buffer of
+/// shape `a.rows × h.cols`, every element of which is overwritten.
+/// Identical counters, dispatch thresholds and block kernel to [`spmm`], so
+/// results are bitwise identical — only the output allocation moves to the
+/// caller.
 pub fn spmm_into(a: &Csr, h: &Matrix, out: &mut Matrix) {
     if glint_trace::enabled() {
         glint_trace::counter("tensor.spmm.calls", 1);
@@ -297,10 +304,9 @@ pub fn spmm_into(a: &Csr, h: &Matrix, out: &mut Matrix) {
 }
 
 /// Parallel transposed sparse × dense `aᵀ × h`; exact same result as
-/// [`Csr::t_spmm`]. The serial kernel scatters into output rows, so this
-/// first regroups the stored entries by column (ascending source row — the
-/// serial accumulation order per output element) and then partitions the
-/// output rows like every other kernel.
+/// [`Csr::t_spmm`]. Both regroup the stored entries by column (ascending
+/// source row) and run the same block kernel over that view; this one
+/// partitions the output rows like every other kernel.
 pub fn t_spmm(a: &Csr, h: &Matrix) -> Matrix {
     if glint_trace::enabled() {
         glint_trace::counter("tensor.spmm.calls", 1);

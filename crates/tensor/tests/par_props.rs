@@ -30,7 +30,7 @@ fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize, salted: bool) -> Ma
                     _ => rng.gen_range(-2.0f32..2.0),
                 }
             } else if rng.gen_bool(0.2) {
-                0.0 // exercise the zero-skip fast path
+                0.0 // zero coefficients: their ±0 products must leave sums unchanged
             } else {
                 rng.gen_range(-2.0f32..2.0)
             }
@@ -85,7 +85,7 @@ proptest! {
         }
     }
 
-    /// Same exactness with NaN/∞/zero-salted inputs: the zero-skip fast path
+    /// Same exactness with NaN/∞/zero-salted inputs: the tiled accumulation
     /// and the row partitioning must both preserve IEEE semantics.
     #[test]
     fn parallel_dense_kernels_bitwise_equal_serial_with_nans(seed in 0u64..1 << 48) {

@@ -144,7 +144,7 @@ pub struct GlintDetector<C: GraphModel, E: GraphModel> {
 impl<C: GraphModel, E: GraphModel> GlintDetector<C, E> {
     pub fn new(mut rules: Vec<Rule>, classifier: C, embedder: E, drift: DriftDetector) -> Self {
         // the deployed set is kept sorted by rule id so delta application
-        // stays O(log n) on a live stream of hundreds of thousands of rules
+        // finds its slot in O(log n); the Vec insert/remove itself is O(n)
         rules.sort_by_key(|r| r.id.0);
         Self {
             rules,
@@ -183,6 +183,10 @@ impl<C: GraphModel, E: GraphModel> GlintDetector<C, E> {
 
     pub fn classifier(&self) -> &C {
         &self.classifier
+    }
+
+    pub fn embedder(&self) -> &E {
+        &self.embedder
     }
 
     /// Give user feedback to the models (step ⑧: fine-tuning hooks).

@@ -6,14 +6,12 @@
 //! delta-driven, the THREATRACE discipline of scoping updates to the
 //! affected neighborhood of an evolving graph:
 //!
-//! 1. **Vocabulary neighborhood.** Every rule is indexed by the device and
-//!    channel *tokens* its actions emit and its trigger/conditions consume.
-//!    The correlation oracle can only relate two rules that share a token
-//!    (an action→trigger path needs a watched device or a fed channel; a
-//!    shared-device coupling needs a common actuated device; a faked
-//!    condition is a trigger in disguise), so when a rule is added only the
-//!    pairs inside its token neighborhood are re-mined — the remainder of
-//!    the home's weight map is provably unchanged.
+//! 1. **Vocabulary neighborhood.** Each home indexes its rules by the
+//!    device and channel *tokens* they emit and consume
+//!    (`glint_rules::correlation::TokenIndex`). Algorithm 1 can only relate
+//!    two rules that share a token, so when a rule is added only the pairs
+//!    inside its token neighborhood are re-mined — the remainder of the
+//!    home's weight map is provably unchanged.
 //! 2. **Dirty-set tracking.** A delta marks exactly its home dirty;
 //!    [`IncrementalPipeline::refresh`] re-embeds dirty homes only, so the
 //!    GNN never re-embeds the other N−1 homes.
@@ -32,166 +30,26 @@ use crate::detector::{Detection, GlintDetector};
 use glint_gnn::batch::PreparedGraph;
 use glint_gnn::models::GraphModel;
 use glint_gnn::trainer::ContrastiveTrainer;
-use glint_graph::graph::{EdgeKind, InteractionGraph, Node};
+use glint_graph::builder::{assemble, rule_nodes};
+use glint_graph::graph::InteractionGraph;
 use glint_graph::shard::{ShardError, ShardedStore};
 use glint_graph::GraphDataset;
-use glint_rules::correlation::{action_invokes_trigger, action_triggers, Via};
-use glint_rules::{
-    ast::device_state_channel, Channel, Condition, DeviceKind, Rule, RuleId, Trigger,
-};
-use std::collections::{BTreeMap, BTreeSet};
+use glint_rules::correlation::TokenIndex;
+use glint_rules::{Rule, RuleId};
+use std::collections::BTreeMap;
 use std::fmt;
 
-/// Mined correlation record for one *ordered* rule pair `(a, b)`. Mirrors
-/// the three edge families of `glint_graph::builder::full_graph` so a graph
-/// rebuilt from these records is edge-for-edge identical to the batch
-/// builder's output.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct PairCorrelation {
-    /// Action→trigger weight: `Some` when a's action invokes b's trigger.
-    pub action_trigger: Option<f32>,
-    /// a and b actuate the same device kind at coupled locations.
-    pub shared_device: bool,
-    /// How many of b's conditions an action of a can fake (each one is an
-    /// `ActionCondition` edge, duplicates included, matching the batch
-    /// builder exactly).
-    pub action_condition: u32,
-}
+pub use glint_rules::correlation::PairCorrelation;
 
-impl PairCorrelation {
-    /// True when the record carries no correlation at all (not stored).
-    pub fn is_empty(&self) -> bool {
-        self.action_trigger.is_none() && !self.shared_device && self.action_condition == 0
-    }
-}
-
-/// Pluggable Algorithm 1 kernel: how one ordered pair is mined. The default
-/// [`OracleMiner`] uses the ground-truth taxonomy oracle; a learned
-/// `CorrelationDiscoverer` can stand in behind the same interface.
-pub trait CorrelationMiner {
-    fn mine(&self, a: &Rule, b: &Rule) -> PairCorrelation;
-}
-
-/// Action→trigger weight when the path is a directly watched device.
-pub const WEIGHT_DEVICE: f32 = 1.0;
-/// Action→trigger weight when the path is a physical channel side effect.
-pub const WEIGHT_CHANNEL: f32 = 0.75;
-
-/// Ground-truth miner over the device/channel taxonomy.
+/// Ground-truth Algorithm 1 over the device/channel taxonomy, the miner
+/// [`mine_all`] runs.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OracleMiner;
 
-impl CorrelationMiner for OracleMiner {
-    fn mine(&self, a: &Rule, b: &Rule) -> PairCorrelation {
-        let action_trigger = action_triggers(a, b).map(|via| match via {
-            Via::Device(_) => WEIGHT_DEVICE,
-            Via::Channel(_) => WEIGHT_CHANNEL,
-        });
-        let shared_device = a.actuated_devices().iter().any(|(d1, l1)| {
-            b.actuated_devices()
-                .iter()
-                .any(|(d2, l2)| d1 == d2 && l1.couples_with(*l2))
-        });
-        let action_condition = b
-            .conditions
-            .iter()
-            .filter_map(condition_as_trigger)
-            .filter(|t| {
-                a.actions
-                    .iter()
-                    .any(|act| action_invokes_trigger(act, t).is_some())
-            })
-            .count() as u32;
-        PairCorrelation {
-            action_trigger,
-            shared_device,
-            action_condition,
-        }
+impl OracleMiner {
+    pub fn mine(&self, a: &Rule, b: &Rule) -> PairCorrelation {
+        PairCorrelation::mine(a, b)
     }
-}
-
-fn condition_as_trigger(cond: &Condition) -> Option<Trigger> {
-    match cond {
-        Condition::DeviceState {
-            device,
-            location,
-            attribute,
-            state,
-        } => Some(Trigger::DeviceState {
-            device: *device,
-            location: *location,
-            attribute: *attribute,
-            state: *state,
-        }),
-        Condition::ChannelThreshold {
-            channel,
-            location,
-            cmp,
-            value,
-        } => Some(Trigger::ChannelThreshold {
-            channel: *channel,
-            location: *location,
-            cmp: *cmp,
-            value: *value,
-        }),
-        Condition::Time(_) | Condition::HomeMode(_) => None,
-    }
-}
-
-/// One vocabulary token: a device kind or a physical channel. Two rules can
-/// be correlated by the oracle only if a token emitted by one's actions is
-/// consumed by the other's trigger/conditions (or both actuate the same
-/// device token).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Token {
-    Dev(DeviceKind),
-    Chan(Channel),
-}
-
-/// Tokens a rule's actions *emit*: each actuated device kind, plus every
-/// channel that device can physically affect (a superset of
-/// `effective_affects` for any state, so no correlated pair escapes).
-pub fn action_tokens(rule: &Rule) -> BTreeSet<Token> {
-    let mut tokens = BTreeSet::new();
-    for act in &rule.actions {
-        if let Some((dev, _)) = act.device() {
-            tokens.insert(Token::Dev(dev));
-            for &(c, _) in dev.affects() {
-                tokens.insert(Token::Chan(c));
-            }
-        }
-    }
-    tokens
-}
-
-/// Tokens a rule's trigger *and conditions* consume: the watched device
-/// kind and/or channel. Time/voice/manual triggers consume nothing — the
-/// oracle can never invoke them.
-pub fn trigger_tokens(rule: &Rule) -> BTreeSet<Token> {
-    let mut tokens = BTreeSet::new();
-    let mut add_trigger = |t: &Trigger| match t {
-        Trigger::DeviceState {
-            device, attribute, ..
-        } => {
-            tokens.insert(Token::Dev(*device));
-            if let Some(c) = device_state_channel(*device, *attribute) {
-                tokens.insert(Token::Chan(c));
-            }
-        }
-        Trigger::ChannelThreshold { channel, .. }
-        | Trigger::ChannelRange { channel, .. }
-        | Trigger::ChannelEvent { channel, .. } => {
-            tokens.insert(Token::Chan(*channel));
-        }
-        Trigger::Time(_) | Trigger::Voice | Trigger::Manual => {}
-    };
-    add_trigger(&rule.trigger);
-    for cond in &rule.conditions {
-        if let Some(t) = condition_as_trigger(cond) {
-            add_trigger(&t);
-        }
-    }
-    tokens
 }
 
 /// A rule add/remove event on one home's deployed rule set.
@@ -244,8 +102,8 @@ impl From<ShardError> for DeltaError {
     }
 }
 
-/// One home's live state: sorted rules, mined pair records, token indexes,
-/// the current interaction graph, and the (possibly stale) embedding.
+/// One home's live state: sorted rules, mined pair records, the token
+/// index, the current interaction graph, and the (possibly stale) embedding.
 #[derive(Default)]
 pub struct HomeState {
     /// Deployed rules, sorted by rule id (the canonical node order).
@@ -253,10 +111,8 @@ pub struct HomeState {
     /// Mined records for ordered pairs `(a_id, b_id)`; empty records are
     /// never stored.
     corr: BTreeMap<(u32, u32), PairCorrelation>,
-    /// Token → rule ids whose *actions* emit it.
-    act_index: BTreeMap<Token, BTreeSet<u32>>,
-    /// Token → rule ids whose *trigger/conditions* consume it.
-    trig_index: BTreeMap<Token, BTreeSet<u32>>,
+    /// The deployed rules by vocabulary token, keyed by rule id.
+    tokens: TokenIndex<u32>,
     /// Current interaction graph (`None` while the home has no rules).
     graph: Option<InteractionGraph>,
     /// Latest contrastive embedding; `None` until the first refresh.
@@ -292,67 +148,11 @@ impl HomeState {
             .ok()
             .and_then(|i| self.rules.get(i))
     }
-
-    fn index_rule(&mut self, rule: &Rule) {
-        for t in action_tokens(rule) {
-            self.act_index.entry(t).or_default().insert(rule.id.0);
-        }
-        for t in trigger_tokens(rule) {
-            self.trig_index.entry(t).or_default().insert(rule.id.0);
-        }
-    }
-
-    fn unindex_rule(&mut self, rule: &Rule) {
-        for t in action_tokens(rule) {
-            if let Some(s) = self.act_index.get_mut(&t) {
-                s.remove(&rule.id.0);
-                if s.is_empty() {
-                    self.act_index.remove(&t);
-                }
-            }
-        }
-        for t in trigger_tokens(rule) {
-            if let Some(s) = self.trig_index.get_mut(&t) {
-                s.remove(&rule.id.0);
-                if s.is_empty() {
-                    self.trig_index.remove(&t);
-                }
-            }
-        }
-    }
-
-    /// Rule ids that could possibly be correlated with `rule` in either
-    /// direction: the token neighborhood. Exact by construction — the
-    /// oracle requires a shared token on every path (see module docs).
-    fn neighborhood(&self, rule: &Rule) -> BTreeSet<u32> {
-        let mut neigh = BTreeSet::new();
-        for t in action_tokens(rule) {
-            if let Some(consumers) = self.trig_index.get(&t) {
-                neigh.extend(consumers.iter().copied());
-            }
-            // shared-device coupling is act×act, on device tokens only
-            if matches!(t, Token::Dev(_)) {
-                if let Some(actuators) = self.act_index.get(&t) {
-                    neigh.extend(actuators.iter().copied());
-                }
-            }
-        }
-        for t in trigger_tokens(rule) {
-            if let Some(emitters) = self.act_index.get(&t) {
-                neigh.extend(emitters.iter().copied());
-            }
-        }
-        neigh.remove(&rule.id.0);
-        neigh
-    }
 }
 
 /// Mine every ordered pair of `rules` from scratch — the batch counterpart
 /// the incremental path must match bitwise.
-pub fn mine_all<M: CorrelationMiner>(
-    miner: &M,
-    rules: &[Rule],
-) -> BTreeMap<(u32, u32), PairCorrelation> {
+pub fn mine_all(miner: &OracleMiner, rules: &[Rule]) -> BTreeMap<(u32, u32), PairCorrelation> {
     let mut corr = BTreeMap::new();
     for a in rules {
         for b in rules {
@@ -369,10 +169,9 @@ pub fn mine_all<M: CorrelationMiner>(
 }
 
 /// Canonical graph constructor shared by the incremental and batch paths:
-/// nodes in `rules` order, then the three edge passes in the same order as
-/// `glint_graph::builder::full_graph` (all ActionTrigger, all SharedDevice,
-/// all ActionCondition, each i-major/j-minor). Returns `None` for an empty
-/// rule set.
+/// nodes in `rules` order, edges from the mined records through the one
+/// assembler every interaction graph goes through. Returns `None` for an
+/// empty rule set.
 pub fn home_graph(
     rules: &[Rule],
     corr: &BTreeMap<(u32, u32), PairCorrelation>,
@@ -381,47 +180,9 @@ pub fn home_graph(
     if rules.is_empty() {
         return None;
     }
-    let nodes: Vec<Node> = rules
-        .iter()
-        .map(|r| Node {
-            rule_id: r.id,
-            platform: r.platform,
-            features: feature_fn(r),
-        })
-        .collect();
-    let mut g = InteractionGraph::new(nodes);
-    for (i, a) in rules.iter().enumerate() {
-        for (j, b) in rules.iter().enumerate() {
-            if i != j
-                && corr
-                    .get(&(a.id.0, b.id.0))
-                    .is_some_and(|p| p.action_trigger.is_some())
-            {
-                g.add_edge(i, j, EdgeKind::ActionTrigger);
-            }
-        }
-    }
-    for (i, a) in rules.iter().enumerate() {
-        for (j, b) in rules.iter().enumerate() {
-            if i != j && corr.get(&(a.id.0, b.id.0)).is_some_and(|p| p.shared_device) {
-                g.add_edge(i, j, EdgeKind::SharedDevice);
-            }
-        }
-    }
-    for (i, a) in rules.iter().enumerate() {
-        for (j, b) in rules.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            let dups = corr
-                .get(&(a.id.0, b.id.0))
-                .map_or(0, |p| p.action_condition);
-            for _ in 0..dups {
-                g.add_edge(i, j, EdgeKind::ActionCondition);
-            }
-        }
-    }
-    Some(g)
+    let id = |i: usize| rules.get(i).map(|r| r.id.0);
+    let nodes = rule_nodes(rules, feature_fn);
+    Some(assemble(nodes, |i, j| corr.get(&(id(i)?, id(j)?))))
 }
 
 /// Work accounting across the pipeline's lifetime. The scale ratchet
@@ -475,34 +236,17 @@ pub struct RefreshReport {
 
 /// The delta-driven multi-home pipeline: per-home incremental Algorithm 1,
 /// dirty-set embedding refresh, and live ingest→verdict.
-pub struct IncrementalPipeline<M: CorrelationMiner = OracleMiner> {
-    miner: M,
+#[derive(Default)]
+pub struct IncrementalPipeline {
     homes: BTreeMap<u64, HomeState>,
     /// Running Σ over homes of n·(n−1) — the batch-equivalent mining cost.
     total_pairs: u64,
     stats: PipelineStats,
 }
 
-impl IncrementalPipeline<OracleMiner> {
+impl IncrementalPipeline {
     pub fn new() -> Self {
-        Self::with_miner(OracleMiner)
-    }
-}
-
-impl Default for IncrementalPipeline<OracleMiner> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<M: CorrelationMiner> IncrementalPipeline<M> {
-    pub fn with_miner(miner: M) -> Self {
-        Self {
-            miner,
-            homes: BTreeMap::new(),
-            total_pairs: 0,
-            stats: PipelineStats::default(),
-        }
+        Self::default()
     }
 
     pub fn stats(&self) -> &PipelineStats {
@@ -560,14 +304,14 @@ impl<M: CorrelationMiner> IncrementalPipeline<M> {
                 id: rule.id.0,
             });
         };
-        let neigh = state.neighborhood(rule);
+        let neigh = state.tokens.neighborhood(rule.id.0, rule);
         let mut remined = 0usize;
         for &sid in &neigh {
             let Some(other) = state.rule_by_id(sid) else {
                 continue;
             };
-            let forward = self.miner.mine(rule, other);
-            let backward = self.miner.mine(other, rule);
+            let forward = PairCorrelation::mine(rule, other);
+            let backward = PairCorrelation::mine(other, rule);
             remined += 2;
             if !forward.is_empty() {
                 state.corr.insert((rule.id.0, sid), forward);
@@ -578,7 +322,7 @@ impl<M: CorrelationMiner> IncrementalPipeline<M> {
         }
         let prior = state.rules.len() as u64;
         state.rules.insert(insert_at, rule.clone());
-        state.index_rule(rule);
+        state.tokens.add_rule(rule.id.0, rule);
         self.total_pairs += 2 * prior;
         Ok(ApplyReport {
             home,
@@ -596,7 +340,7 @@ impl<M: CorrelationMiner> IncrementalPipeline<M> {
             return Err(DeltaError::UnknownRule { home, id: id.0 });
         };
         let rule = state.rules.remove(at);
-        state.unindex_rule(&rule);
+        state.tokens.remove_rule(id.0, &rule);
         let before = state.corr.len();
         state.corr.retain(|&(a, b), _| a != id.0 && b != id.0);
         let removed = before - state.corr.len();
@@ -700,37 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn token_overlap_is_necessary_for_correlation() {
-        // structural guarantee behind neighborhood-scoped mining: any
-        // non-empty mined record implies a shared vocabulary token
-        let rules = table1_rules();
-        let miner = OracleMiner;
-        for a in &rules {
-            for b in &rules {
-                if a.id == b.id {
-                    continue;
-                }
-                let pc = miner.mine(a, b);
-                if pc.is_empty() {
-                    continue;
-                }
-                let at = action_tokens(a);
-                let bt = trigger_tokens(b);
-                let shared_at = !at.is_disjoint(&bt);
-                let shared_dev = action_tokens(b)
-                    .intersection(&at)
-                    .any(|t| matches!(t, Token::Dev(_)));
-                assert!(
-                    shared_at || shared_dev,
-                    "mined pair {}→{} without a shared token",
-                    a.id.0,
-                    b.id.0
-                );
-            }
-        }
-    }
-
-    #[test]
     fn incremental_add_matches_batch_mine() {
         let rules = table1_rules();
         let mut pipe = IncrementalPipeline::new();
@@ -743,18 +456,6 @@ mod tests {
         // the incremental graph equals the canonical batch graph
         let expected = home_graph(state.rules(), &batch, &feat).unwrap();
         assert_eq!(state.graph().unwrap(), &expected);
-    }
-
-    #[test]
-    fn home_graph_matches_full_graph_builder() {
-        // the canonical constructor reproduces the batch builder edge for
-        // edge (order included) over the paper's Table 1 fixture
-        let rules = table1_rules();
-        let corr = mine_all(&OracleMiner, &rules);
-        let ours = home_graph(&rules, &corr, &feat).unwrap();
-        let reference = glint_graph::builder::full_graph(&rules, &feat);
-        assert_eq!(ours.nodes(), reference.nodes());
-        assert_eq!(ours.edges(), reference.edges());
     }
 
     #[test]
@@ -846,26 +547,8 @@ mod tests {
         assert!(state.rules().is_empty());
         assert!(state.graph().is_none());
         assert!(state.correlations().is_empty());
-        // and the indexes fully drain
-        assert!(state.act_index.is_empty());
-        assert!(state.trig_index.is_empty());
-    }
-
-    #[test]
-    fn oracle_miner_weights_follow_via() {
-        let rules = table1_rules();
-        let corr = mine_all(&OracleMiner, &rules);
-        for (&(a, b), pc) in &corr {
-            if let Some(w) = pc.action_trigger {
-                let ra = rules.iter().find(|r| r.id.0 == a).unwrap();
-                let rb = rules.iter().find(|r| r.id.0 == b).unwrap();
-                let expected = match action_triggers(ra, rb).unwrap() {
-                    Via::Device(_) => WEIGHT_DEVICE,
-                    Via::Channel(_) => WEIGHT_CHANNEL,
-                };
-                assert_eq!(w.to_bits(), expected.to_bits());
-            }
-        }
+        // and the token index fully drains
+        assert!(state.tokens.is_empty());
     }
 
     #[test]

@@ -34,8 +34,7 @@ pub use drift::DriftDetector;
 pub use error::GlintError;
 pub use feedback::FeedbackStore;
 pub use incremental::{
-    CorrelationMiner, DeltaError, IncrementalPipeline, OracleMiner, PairCorrelation, RuleChange,
-    RuleDelta,
+    DeltaError, IncrementalPipeline, OracleMiner, PairCorrelation, RuleChange, RuleDelta,
 };
 pub use oracle::{label_rules, ThreatFinding, ThreatKind};
 pub use warning::Warning;

@@ -1,14 +1,16 @@
 //! Graph construction: offline chaining of correlated rules, and online
-//! real-time construction from deployed rules + event logs (§3.2.2).
+//! real-time construction from deployed rules + event logs (§3.2.2). Every
+//! full interaction graph, batch, windowed or per home, goes through
+//! [`assemble`].
 
 use crate::graph::{EdgeKind, GraphLabel, InteractionGraph, Node};
-use glint_rules::correlation::{action_invokes_trigger, action_triggers};
+use glint_rules::correlation::{action_triggers, shares_device, PairCorrelation, TokenIndex};
 use glint_rules::event::{EventKind, EventLog};
-use glint_rules::{Action, Rule, StateValue, Trigger};
+use glint_rules::{Action, Rule};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Offline builder: samples interaction graphs of 2–50 nodes by chaining
 /// rules along ground-truth "action-trigger" correlations, then densifies
@@ -26,81 +28,30 @@ pub struct GraphBuilder<'a> {
 }
 
 impl<'a> GraphBuilder<'a> {
-    /// Precompute the correlation index over the corpus. Complexity is kept
-    /// near-linear by bucketing candidate triggers by channel/device first.
+    /// Precompute the correlation index over the corpus. Candidate pairs
+    /// come from the token neighborhood, so only rules sharing a device or
+    /// channel token are ever tested.
     pub fn new(rules: &'a [Rule], seed: u64) -> Self {
-        let mut by_channel: BTreeMap<glint_rules::Channel, Vec<usize>> = BTreeMap::new();
-        let mut by_device: BTreeMap<glint_rules::DeviceKind, Vec<usize>> = BTreeMap::new();
+        let mut tokens = TokenIndex::default();
         for (i, r) in rules.iter().enumerate() {
-            if let Some(c) = r.trigger.channel() {
-                by_channel.entry(c).or_default().push(i);
-            }
-            if let Trigger::DeviceState { device, .. } = &r.trigger {
-                by_device.entry(*device).or_default().push(i);
-            }
+            tokens.add_rule(i, r);
         }
         let mut successors = vec![Vec::new(); rules.len()];
         let mut predecessors = vec![Vec::new(); rules.len()];
+        let mut shared_device = vec![Vec::new(); rules.len()];
+        // i and each neighborhood ascend, so every list comes out sorted and
+        // duplicate-free
         for (i, a) in rules.iter().enumerate() {
-            let mut candidates: BTreeSet<usize> = BTreeSet::new();
-            for act in &a.actions {
-                if let Some((dev, _)) = act.device() {
-                    if let Some(v) = by_device.get(&dev) {
-                        candidates.extend(v.iter().copied());
-                    }
-                    let state = match act {
-                        Action::SetState { state, .. } => *state,
-                        Action::SetLevel { value, .. } => StateValue::Level(*value),
-                        _ => continue,
-                    };
-                    for (c, _) in glint_rules::correlation::effective_affects(dev, state) {
-                        if let Some(v) = by_channel.get(&c) {
-                            candidates.extend(v.iter().copied());
-                        }
-                    }
-                }
-            }
-            for j in candidates {
-                if i != j && action_triggers(a, &rules[j]).is_some() {
+            for j in tokens.neighborhood(i, a) {
+                let b = &rules[j];
+                if action_triggers(a, b).is_some() {
                     successors[i].push(j);
                     predecessors[j].push(i);
                 }
-            }
-        }
-        // device-sharing coupling: rules actuating the same device kind in
-        // coupled locations (Figure 1's device-mediated connections)
-        let mut actuated: BTreeMap<glint_rules::DeviceKind, Vec<usize>> = BTreeMap::new();
-        for (i, r) in rules.iter().enumerate() {
-            for (dev, _) in r.actuated_devices() {
-                actuated.entry(dev).or_default().push(i);
-            }
-        }
-        let mut shared_device = vec![Vec::new(); rules.len()];
-        for members in actuated.values() {
-            for &i in members {
-                for &j in members {
-                    if i == j {
-                        continue;
-                    }
-                    let couple = rules[i].actuated_devices().iter().any(|(d1, l1)| {
-                        rules[j]
-                            .actuated_devices()
-                            .iter()
-                            .any(|(d2, l2)| d1 == d2 && l1.couples_with(*l2))
-                    });
-                    if couple {
-                        shared_device[i].push(j);
-                    }
+                if shares_device(a, b) {
+                    shared_device[i].push(j);
                 }
             }
-        }
-        for v in successors
-            .iter_mut()
-            .chain(predecessors.iter_mut())
-            .chain(shared_device.iter_mut())
-        {
-            v.sort_unstable();
-            v.dedup();
         }
         Self {
             rules,
@@ -215,58 +166,58 @@ impl<'a> GraphBuilder<'a> {
     }
 }
 
-/// Build the complete correlation graph over a deployed rule set without the
-/// sampling machinery (convenience for small rule sets).
-pub fn full_graph(rules: &[Rule], feature_fn: &dyn Fn(&Rule) -> Vec<f32>) -> InteractionGraph {
-    let nodes: Vec<Node> = rules
+/// One node per rule, in rule order, with `feature_fn`'s features.
+pub fn rule_nodes(rules: &[Rule], feature_fn: &dyn Fn(&Rule) -> Vec<f32>) -> Vec<Node> {
+    rules
         .iter()
         .map(|r| Node {
             rule_id: r.id,
             platform: r.platform,
             features: feature_fn(r),
         })
-        .collect();
-    let mut g = InteractionGraph::new(nodes);
-    for (i, a) in rules.iter().enumerate() {
-        for (j, b) in rules.iter().enumerate() {
-            if i != j && action_triggers(a, b).is_some() {
-                g.add_edge(i, j, EdgeKind::ActionTrigger);
-            }
-        }
-    }
-    // device-sharing coupling (Figure 1): rules actuating the same device
-    // kind at coupled locations are connected via that device
-    for (i, a) in rules.iter().enumerate() {
-        for (j, b) in rules.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            let shared = a.actuated_devices().iter().any(|(d1, l1)| {
-                b.actuated_devices()
-                    .iter()
-                    .any(|(d2, l2)| d1 == d2 && l1.couples_with(*l2))
-            });
-            if shared {
-                g.add_edge(i, j, EdgeKind::SharedDevice);
-            }
-        }
-    }
-    // condition-duplicate coupling: an action that can fake another rule's
-    // *condition* also couples them (the §4.7 fourth threat type)
-    for (i, a) in rules.iter().enumerate() {
-        for (j, b) in rules.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            for cond in &b.conditions {
-                let as_trigger = condition_as_trigger(cond);
-                if let Some(t) = as_trigger {
-                    if a.actions
-                        .iter()
-                        .any(|act| action_invokes_trigger(act, &t).is_some())
-                    {
-                        g.add_edge(i, j, EdgeKind::ActionCondition);
+        .collect()
+}
+
+/// Algorithm 1 over every ordered pair of `rules`: `pairs[i][j]` is the
+/// record of `(rules[i], rules[j])`, and the diagonal stays empty.
+fn mine_pairs(rules: &[Rule]) -> Vec<Vec<PairCorrelation>> {
+    let enumerated = || rules.iter().enumerate();
+    enumerated()
+        .map(|(i, a)| {
+            enumerated()
+                .map(|(j, b)| {
+                    if i == j {
+                        PairCorrelation::default()
+                    } else {
+                        PairCorrelation::mine(a, b)
                     }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Assemble an interaction graph (Algorithm 1, §3.2.2): `nodes` in order,
+/// then every ActionTrigger edge, every SharedDevice edge, and every
+/// ActionCondition edge (one per faked condition). Each pass runs over the
+/// ordered pairs `i ≠ j`, i-major. `pair(i, j)` is the mined record of nodes
+/// `i` and `j`, `None` when they are not correlated.
+pub fn assemble<'p>(
+    nodes: Vec<Node>,
+    pair: impl Fn(usize, usize) -> Option<&'p PairCorrelation>,
+) -> InteractionGraph {
+    let n = nodes.len();
+    let mut g = InteractionGraph::new(nodes);
+    let passes = [
+        EdgeKind::ActionTrigger,
+        EdgeKind::SharedDevice,
+        EdgeKind::ActionCondition,
+    ];
+    for kind in passes {
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                for _ in 0..pair(i, j).map_or(0, |p| edges_of(p, kind)) {
+                    g.add_edge(i, j, kind);
                 }
             }
         }
@@ -274,32 +225,21 @@ pub fn full_graph(rules: &[Rule], feature_fn: &dyn Fn(&Rule) -> Vec<f32>) -> Int
     g
 }
 
-fn condition_as_trigger(cond: &glint_rules::Condition) -> Option<Trigger> {
-    match cond {
-        glint_rules::Condition::DeviceState {
-            device,
-            location,
-            attribute,
-            state,
-        } => Some(Trigger::DeviceState {
-            device: *device,
-            location: *location,
-            attribute: *attribute,
-            state: *state,
-        }),
-        glint_rules::Condition::ChannelThreshold {
-            channel,
-            location,
-            cmp,
-            value,
-        } => Some(Trigger::ChannelThreshold {
-            channel: *channel,
-            location: *location,
-            cmp: *cmp,
-            value: *value,
-        }),
-        _ => None,
+/// How many `kind` edges a mined pair contributes.
+fn edges_of(pair: &PairCorrelation, kind: EdgeKind) -> u32 {
+    match kind {
+        EdgeKind::ActionTrigger => u32::from(pair.action_trigger.is_some()),
+        EdgeKind::SharedDevice => u32::from(pair.shared_device),
+        EdgeKind::ActionCondition => pair.action_condition,
     }
+}
+
+/// Build the complete correlation graph over a deployed rule set without the
+/// sampling machinery (convenience for small rule sets).
+pub fn full_graph(rules: &[Rule], feature_fn: &dyn Fn(&Rule) -> Vec<f32>) -> InteractionGraph {
+    let nodes = rule_nodes(rules, feature_fn);
+    let pairs = mine_pairs(rules);
+    assemble(nodes, |i, j| pairs.get(i)?.get(j))
 }
 
 /// Online builder: fuse the deployed-rule graph with runtime event logs to
@@ -366,27 +306,30 @@ impl OnlineBuilder {
         to: f64,
         feature_fn: &dyn Fn(&Rule) -> Vec<f32>,
     ) -> InteractionGraph {
-        let times = Self::execution_times(rules, log);
-        // executed rules inside the window
-        let active: Vec<usize> = (0..rules.len())
-            .filter(|&i| times[i].iter().any(|&t| t >= from && t <= to))
-            .collect();
-        let active_rules: Vec<Rule> = active.iter().map(|&i| rules[i].clone()).collect();
-        let complete = full_graph(&active_rules, feature_fn);
+        // executed rules inside the window, with their execution times
+        let (active, times): (Vec<Rule>, Vec<Vec<f64>>) = rules
+            .iter()
+            .zip(Self::execution_times(rules, log))
+            .filter(|(_, ts)| ts.iter().any(|&t| t >= from && t <= to))
+            .map(|(r, ts)| (r.clone(), ts))
+            .unzip();
+        let nodes = rule_nodes(&active, feature_fn);
+        let mut pairs = mine_pairs(&active);
         // temporal pruning: cause must precede effect within max_gap
-        let mut g = InteractionGraph::new(complete.nodes().to_vec());
-        for &(u, v, kind) in complete.edges() {
-            let tu = &times[active[u]];
-            let tv = &times[active[v]];
-            let plausible = tu.iter().any(|&a| {
+        let chronological = |tu: &[f64], tv: &[f64]| {
+            tu.iter().any(|&a| {
                 tv.iter()
                     .any(|&b| b > a && b - a <= self.max_gap && a >= from && b <= to)
-            });
-            if plausible {
-                g.add_edge(u, v, kind);
+            })
+        };
+        for (tu, row) in times.iter().zip(&mut pairs) {
+            for (tv, pair) in times.iter().zip(row) {
+                if !pair.is_empty() && !chronological(tu, tv) {
+                    *pair = PairCorrelation::default();
+                }
             }
         }
-        g
+        assemble(nodes, |i, j| pairs.get(i)?.get(j))
     }
 }
 
@@ -419,6 +362,8 @@ mod tests {
                 let indexed = builder.successors[i].binary_search(&j).is_ok();
                 let brute = action_triggers(a, b).is_some();
                 assert_eq!(indexed, brute, "mismatch for {}→{}", a.id.0, b.id.0);
+                let shared = builder.shared_device[i].binary_search(&j).is_ok();
+                assert_eq!(shared, shares_device(a, b), "{}~{}", a.id.0, b.id.0);
             }
         }
     }

@@ -864,16 +864,6 @@ impl HotAnalysis {
     }
 }
 
-/// Resolve fn-name specs (same syntax as entry points) to per-file body
-/// ranges — used for the opt-in `hot-index` rule.
-pub fn spec_ranges(graph: &CallGraph, specs: &[String]) -> BTreeMap<String, Vec<(usize, usize)>> {
-    let mut set: BTreeSet<usize> = BTreeSet::new();
-    for spec in specs {
-        set.extend(graph.match_spec(spec));
-    }
-    graph.hot_ranges(&set)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

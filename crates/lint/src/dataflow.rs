@@ -10,11 +10,11 @@
 //! Three analyses (DESIGN.md "Interprocedural dataflow"):
 //!
 //! * **determinism taint** (`taint-flow`) — source sites (wall-clock reads,
-//!   OS-seeded RNGs, hash-iteration types) inside any fn that the sink
+//!   hash-iteration types) inside any fn that the sink
 //!   entry points ([`Config::taint_sinks`] — verdict/score outputs, GLINTDUR
 //!   envelope writes, checkpoint payloads — plus deterministic-crate fns
 //!   with ordering-sensitive calls) can reach over the call graph. The
-//!   per-site wall-clock/entropy rules stay (they catch sources that reach
+//!   per-site wall-clock rule stays (it catches sources that reach
 //!   no sink yet); the taint pass adds the end-to-end flow evidence with a
 //!   witness chain sink → … → source.
 //! * **lock-order** (`lock-cycle`, `lock-across-call`) — lock-acquisition
@@ -118,7 +118,7 @@ struct TaintSource {
 }
 
 /// Scan one fn body for nondeterminism sources. `clock_exempt` drops the
-/// wall-clock/entropy kinds (bench code times things by design) but keeps
+/// wall-clock kind (bench code times things by design) but keeps
 /// hash-iteration: order-dependence is a bug even in bench code feeding a
 /// report.
 fn taint_sources(toks: &[Tok], start: usize, end: usize, clock_exempt: bool) -> Vec<TaintSource> {
@@ -140,12 +140,6 @@ fn taint_sources(toks: &[Tok], start: usize, end: usize, clock_exempt: bool) -> 
                 out.push(TaintSource {
                     line: toks[i].line,
                     what: format!("`{name}::now()` wall-clock read"),
-                });
-            }
-            "thread_rng" | "from_entropy" if !clock_exempt => {
-                out.push(TaintSource {
-                    line: toks[i].line,
-                    what: format!("`{name}` OS-seeded randomness"),
                 });
             }
             "HashMap" | "HashSet" | "RandomState" => {

@@ -6,11 +6,11 @@
 //! silently regressing. This crate pins them mechanically:
 //!
 //! * **determinism** — no std hash-collection types in deterministic-crate
-//!   library code, no wall-clock reads or OS-seeded RNGs outside bench;
+//!   library code, no wall-clock reads outside bench;
 //! * **NaN-safety** — no `partial_cmp(..).unwrap()`, no ordering adaptors
 //!   driven by `partial_cmp`, no float-literal `==`;
 //! * **panic-safety** — no `unwrap`/`expect`/panicking macros/`catch_unwind`
-//!   in *call-graph-hot* code (slice indexing opt-in per fn);
+//!   in *call-graph-hot* code;
 //! * **concurrency** — no non-`Relaxed` atomic orderings or lock
 //!   acquisitions in call-graph-hot code without a justification.
 //!
@@ -101,7 +101,6 @@ pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Analysis {
     let graph = CallGraph::build(&files);
     let hot = graph.reachable(&cfg.hot_entry_points);
     let hot_ranges = graph.hot_ranges(&hot);
-    let no_index_ranges = callgraph::spec_ranges(&graph, &cfg.no_index_fns);
     const EMPTY: &[(usize, usize)] = &[];
 
     // Interprocedural findings, grouped per file so they run through the
@@ -120,7 +119,6 @@ pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Analysis {
             comments: &f.comments,
             test_ranges: &f.test_ranges,
             hot_ranges: hot_ranges.get(f.path.as_str()).map_or(EMPTY, |v| v),
-            no_index_ranges: no_index_ranges.get(f.path.as_str()).map_or(EMPTY, |v| v),
         };
         let scan = rules::scan_file(&input, cfg);
         let extra = flow_by_file.remove(f.path.as_str()).unwrap_or_default();

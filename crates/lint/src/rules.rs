@@ -3,12 +3,11 @@
 //!
 //! Four invariant families (see DESIGN.md "Static analysis architecture"):
 //!
-//! * **determinism** — `hash-collection`, `wall-clock`, `entropy-rng`
-//!   (path-scoped: deterministic crates / non-bench code);
+//! * **determinism** — `hash-collection`, `wall-clock` (path-scoped:
+//!   deterministic crates / non-bench code);
 //! * **NaN-safety** — `partial-cmp-unwrap`, `float-cmp-order`, `float-eq`
 //!   (everywhere);
-//! * **panic-safety** — `hot-unwrap`, `hot-panic`, `hot-index`,
-//!   `catch-unwind`;
+//! * **panic-safety** — `hot-unwrap`, `hot-panic`, `catch-unwind`;
 //! * **concurrency** — `hot-atomic-ordering`, `hot-lock`.
 //!
 //! The `hot-*` rules are *reachability*-scoped: a region is hot when its
@@ -37,14 +36,12 @@ use crate::lexer::{Comment, Tok, TokKind};
 pub enum RuleId {
     HashCollection,
     WallClock,
-    EntropyRng,
     TaintFlow,
     PartialCmpUnwrap,
     FloatCmpOrder,
     FloatEq,
     HotUnwrap,
     HotPanic,
-    HotIndex,
     CatchUnwind,
     HotAtomicOrdering,
     HotLock,
@@ -59,14 +56,12 @@ impl RuleId {
         match self {
             RuleId::HashCollection => "hash-collection",
             RuleId::WallClock => "wall-clock",
-            RuleId::EntropyRng => "entropy-rng",
             RuleId::TaintFlow => "taint-flow",
             RuleId::PartialCmpUnwrap => "partial-cmp-unwrap",
             RuleId::FloatCmpOrder => "float-cmp-order",
             RuleId::FloatEq => "float-eq",
             RuleId::HotUnwrap => "hot-unwrap",
             RuleId::HotPanic => "hot-panic",
-            RuleId::HotIndex => "hot-index",
             RuleId::CatchUnwind => "catch-unwind",
             RuleId::HotAtomicOrdering => "hot-atomic-ordering",
             RuleId::HotLock => "hot-lock",
@@ -84,13 +79,9 @@ impl RuleId {
     /// Invariant family, for reports.
     pub fn family(self) -> &'static str {
         match self {
-            RuleId::HashCollection | RuleId::WallClock | RuleId::EntropyRng | RuleId::TaintFlow => {
-                "determinism"
-            }
+            RuleId::HashCollection | RuleId::WallClock | RuleId::TaintFlow => "determinism",
             RuleId::PartialCmpUnwrap | RuleId::FloatCmpOrder | RuleId::FloatEq => "nan-safety",
-            RuleId::HotUnwrap | RuleId::HotPanic | RuleId::HotIndex | RuleId::CatchUnwind => {
-                "panic-safety"
-            }
+            RuleId::HotUnwrap | RuleId::HotPanic | RuleId::CatchUnwind => "panic-safety",
             RuleId::HotAtomicOrdering
             | RuleId::HotLock
             | RuleId::LockCycle
@@ -104,14 +95,12 @@ impl RuleId {
 pub const ALL_RULES: &[RuleId] = &[
     RuleId::HashCollection,
     RuleId::WallClock,
-    RuleId::EntropyRng,
     RuleId::TaintFlow,
     RuleId::PartialCmpUnwrap,
     RuleId::FloatCmpOrder,
     RuleId::FloatEq,
     RuleId::HotUnwrap,
     RuleId::HotPanic,
-    RuleId::HotIndex,
     RuleId::CatchUnwind,
     RuleId::HotAtomicOrdering,
     RuleId::HotLock,
@@ -142,8 +131,8 @@ pub struct Config {
     /// Path prefixes where `hash-collection` applies: crates whose library
     /// code must be insertion-order independent.
     pub deterministic_prefixes: Vec<String>,
-    /// Path prefixes exempt from `wall-clock` / `entropy-rng` (benchmarks
-    /// time things by design).
+    /// Path prefixes exempt from `wall-clock` (benchmarks time things by
+    /// design).
     pub clock_exempt_prefixes: Vec<String>,
     /// Hot entry points: the panic-safety and concurrency `hot-*` rules
     /// apply to every fn reachable from these over the call graph.
@@ -151,15 +140,12 @@ pub struct Config {
     /// Inference entry points: the allocation census walks the subgraph
     /// reachable from these (the serving fast path).
     pub inference_entry_points: Vec<String>,
-    /// Fn specs opted into `hot-index` (kernels audited to use
-    /// iterators/`split_at_mut` instead of per-element indexing).
-    pub no_index_fns: Vec<String>,
     /// Exact files allowed to use `catch_unwind`: the designated graceful-
     /// degradation layer, where containing a panic to quarantine one graph
     /// is the point. Everywhere else, swallowing panics hides bugs.
     pub degradation_files: Vec<String>,
     /// Determinism-taint sinks: fn specs whose outputs must not depend on
-    /// wall clocks, OS entropy, or hash-iteration order. The taint pass
+    /// wall clocks or hash-iteration order. The taint pass
     /// reports every source site that can reach one of these over the call
     /// graph (`taint-flow`), with the witness chain.
     pub taint_sinks: Vec<String>,
@@ -231,7 +217,6 @@ impl Default for Config {
                 "GlintDetector::assess_batch".into(),
                 "GlintDetector::assess_under_pressure".into(),
             ],
-            no_index_fns: Vec::new(),
             degradation_files: vec![
                 "crates/core/src/detector.rs".into(),
                 // the serving layer's panic-isolation boundary: a worker
@@ -386,8 +371,6 @@ pub struct FileInput<'a> {
     pub test_ranges: &'a [(usize, usize)],
     /// Body ranges of call-graph-hot fns in this file.
     pub hot_ranges: &'a [(usize, usize)],
-    /// Body ranges of fns opted into `hot-index`.
-    pub no_index_ranges: &'a [(usize, usize)],
 }
 
 fn in_ranges(ranges: &[(usize, usize)], i: usize) -> bool {
@@ -475,7 +458,6 @@ pub fn scan_file(input: &FileInput, cfg: &Config) -> FileScan {
     }
     if !cfg.clock_exempt(path) {
         rule_wall_clock(path, toks, &mut raw);
-        rule_entropy_rng(path, toks, &mut raw);
     }
     rule_partial_cmp_unwrap(path, toks, &mut raw);
     rule_float_cmp_order(path, toks, &mut raw);
@@ -485,8 +467,6 @@ pub fn scan_file(input: &FileInput, cfg: &Config) -> FileScan {
     rule_hot_panic(path, toks, &hot, &mut raw);
     rule_hot_atomic(path, toks, &hot, &mut raw);
     rule_hot_lock(path, toks, &hot, &mut raw);
-    let no_index = |i: usize| in_ranges(input.no_index_ranges, i);
-    rule_hot_index(path, toks, &no_index, &mut raw);
     if !cfg.is_degradation(path) {
         rule_catch_unwind(path, toks, &mut raw);
     }
@@ -627,42 +607,6 @@ fn rule_wall_clock(file: &str, toks: &[Tok], out: &mut Vec<Finding>) {
                      non-reproducible; thread timing through explicit parameters",
                     w[0].text
                 ),
-            );
-        }
-    }
-}
-
-/// `entropy-rng`: OS/time-seeded randomness outside bench code. Seeds must
-/// be explicit (`seed_from_u64`) so every run is replayable.
-fn rule_entropy_rng(file: &str, toks: &[Tok], out: &mut Vec<Finding>) {
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        if t.text == "thread_rng" || t.text == "from_entropy" {
-            push(
-                out,
-                file,
-                t.line,
-                RuleId::EntropyRng,
-                format!(
-                    "`{}` seeds from the OS: results differ every run; \
-                     use `SeedableRng::seed_from_u64` with an explicit seed",
-                    t.text
-                ),
-            );
-        }
-        if t.text == "random"
-            && i >= 2
-            && toks[i - 1].text == "::"
-            && is_ident(&toks[i - 2], "rand")
-        {
-            push(
-                out,
-                file,
-                t.line,
-                RuleId::EntropyRng,
-                "`rand::random` seeds from the OS; use an explicitly seeded RNG",
             );
         }
     }
@@ -909,40 +853,6 @@ fn rule_catch_unwind(file: &str, toks: &[Tok], out: &mut Vec<Finding>) {
                 "`catch_unwind` outside the degradation layer: return typed errors \
                  instead of containing panics (fault isolation belongs in the files \
                  listed in `Config::degradation_files`)",
-            );
-        }
-    }
-}
-
-/// `hot-index`: `expr[…]` indexing in opt-in panic-free fns (prefer
-/// iterators, `get`, or `split_at_mut`). Array literals (`= [...]`), macro
-/// brackets (`vec![...]`) and attributes (`#[...]`) do not fire.
-fn rule_hot_index(
-    file: &str,
-    toks: &[Tok],
-    no_index: &dyn Fn(usize) -> bool,
-    out: &mut Vec<Finding>,
-) {
-    for i in 1..toks.len() {
-        if toks[i].text != "[" || !no_index(i) {
-            continue;
-        }
-        const KEYWORDS: &[&str] = &[
-            "return", "break", "else", "in", "match", "if", "while", "loop", "move", "mut", "ref",
-            "as",
-        ];
-        let prev = &toks[i - 1];
-        let indexable = (prev.kind == TokKind::Ident && !KEYWORDS.contains(&prev.text.as_str()))
-            || prev.text == ")"
-            || prev.text == "]";
-        if indexable {
-            push(
-                out,
-                file,
-                toks[i].line,
-                RuleId::HotIndex,
-                "slice indexing in a panic-free fn: use iterators, `get`, \
-                 or `split_at_mut`",
             );
         }
     }

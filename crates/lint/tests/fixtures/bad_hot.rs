@@ -1,5 +1,5 @@
-// Fixture: hot-unwrap / hot-panic / hot-index violations — only flagged when
-// linted under a designated hot-path file name.
+// Fixture: hot-unwrap / hot-panic violations — only flagged when the fns
+// are reachable from a hot entry point.
 pub fn first(v: &[f32]) -> f32 {
     *v.first().unwrap()
 }

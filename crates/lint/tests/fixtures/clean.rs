@@ -1,5 +1,5 @@
 // Fixture: near misses the linter must NOT flag, even when linted under a
-// hot-path + deterministic + no-index file name.
+// hot-path + deterministic file name.
 
 /// Mentions of HashMap, Instant::now(), thread_rng() and x.partial_cmp(&y)
 /// .unwrap() in doc comments are not code.

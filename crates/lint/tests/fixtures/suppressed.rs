@@ -13,12 +13,6 @@ pub fn stamp_for_log() -> Instant {
     Instant::now() // glint-lint: allow(wall-clock) — log timestamp only, never feeds results
 }
 
-pub fn jitter() -> bool {
-    // glint-lint: allow(entropy-rng) — deliberate nondeterminism: backoff
-    // jitter must differ between retries
-    rand::random()
-}
-
 pub fn cmp_checked(a: f32, b: f32) -> std::cmp::Ordering {
     debug_assert!(!a.is_nan() && !b.is_nan());
     // glint-lint: allow(partial-cmp-unwrap, hot-unwrap) — inputs validated
@@ -47,9 +41,4 @@ pub fn hot_first(v: &[f32]) -> f32 {
     }
     // glint-lint: allow(hot-unwrap) — guarded by the emptiness check above
     *v.first().unwrap()
-}
-
-pub fn hot_pick(v: &[f32], i: usize) -> f32 {
-    // glint-lint: allow(hot-index) — index comes from enumerate over v itself
-    v[i]
 }

@@ -11,8 +11,8 @@ use glint_lint::{lint_source, Config, Finding, RuleId};
 /// A path inside a deterministic prefix — the determinism rules are live.
 const HOT: &str = "crates/tensor/src/par.rs";
 
-/// Config that makes every non-test fn in `src` a hot entry point AND a
-/// `hot-index` opt-in, so every rule is live at once.
+/// Config that makes every non-test fn in `src` a hot entry point, so every
+/// rule is live at once.
 fn all_rules_config(src: &str) -> Config {
     let mut cfg = Config::default();
     let fs = FileSyntax::parse(HOT, src);
@@ -22,7 +22,6 @@ fn all_rules_config(src: &str) -> Config {
         .filter(|f| !f.is_test)
         .map(|f| f.name.clone())
         .collect();
-    cfg.no_index_fns = cfg.hot_entry_points.clone();
     cfg
 }
 
@@ -61,12 +60,6 @@ fn wall_clock_is_exempt_in_bench() {
 }
 
 #[test]
-fn entropy_rng_catches_unseeded_generators() {
-    let f = lint_fixture(include_str!("fixtures/bad_rng.rs"));
-    assert!(count(&f, RuleId::EntropyRng) >= 3, "{f:?}");
-}
-
-#[test]
 fn partial_cmp_unwrap_catches_unwrap_and_expect() {
     let f = lint_fixture(include_str!("fixtures/bad_partial_cmp.rs"));
     assert_eq!(count(&f, RuleId::PartialCmpUnwrap), 2, "{f:?}");
@@ -85,11 +78,10 @@ fn float_eq_catches_float_equality() {
 }
 
 #[test]
-fn hot_rules_catch_unwrap_panic_and_indexing() {
+fn hot_rules_catch_unwrap_and_panic() {
     let f = lint_fixture(include_str!("fixtures/bad_hot.rs"));
     assert_eq!(count(&f, RuleId::HotUnwrap), 2, "{f:?}");
     assert!(count(&f, RuleId::HotPanic) >= 2, "{f:?}");
-    assert!(count(&f, RuleId::HotIndex) >= 1, "{f:?}");
 }
 
 /// With the default config, nothing in the fixture is reachable from a real
@@ -101,7 +93,6 @@ fn hot_rules_require_call_graph_reachability() {
     let f = lint_source(HOT, src, &Config::default());
     assert_eq!(count(&f, RuleId::HotUnwrap), 0, "{f:?}");
     assert_eq!(count(&f, RuleId::HotPanic), 0, "{f:?}");
-    assert_eq!(count(&f, RuleId::HotIndex), 0, "{f:?}");
 }
 
 /// Hotness propagates over calls: seeding only the caller still flags the

@@ -223,6 +223,39 @@ pub enum Condition {
     HomeMode(StateValue),
 }
 
+impl Condition {
+    /// The trigger this condition would be if it fired the rule: an action
+    /// that invokes it fakes the condition. Time and home-mode conditions
+    /// have no such trigger.
+    pub fn as_trigger(&self) -> Option<Trigger> {
+        match *self {
+            Condition::DeviceState {
+                device,
+                location,
+                attribute,
+                state,
+            } => Some(Trigger::DeviceState {
+                device,
+                location,
+                attribute,
+                state,
+            }),
+            Condition::ChannelThreshold {
+                channel,
+                location,
+                cmp,
+                value,
+            } => Some(Trigger::ChannelThreshold {
+                channel,
+                location,
+                cmp,
+                value,
+            }),
+            Condition::Time(_) | Condition::HomeMode(_) => None,
+        }
+    }
+}
+
 /// What a rule does when it fires.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Action {

@@ -1,4 +1,4 @@
-//! Ground-truth "action → trigger" correlation semantics.
+//! Ground-truth correlation semantics: Algorithm 1's rule pairs.
 //!
 //! This is the physical-world oracle: given rule A's action and rule B's
 //! trigger, does executing A invoke B? The paper obtains these labels by
@@ -6,11 +6,17 @@
 //! the device/channel taxonomy, which is what makes large-scale corpus
 //! labeling possible. The *learned* correlation classifier in `glint-core`
 //! recovers this function from rendered text only.
+//!
+//! [`PairCorrelation`] is the one record of an ordered pair that every full
+//! interaction graph is assembled from: its action→trigger, shared-device
+//! and faked-condition edges (§3.2.2). [`TokenIndex`] finds the pairs worth
+//! mining without trying every one.
 
-use crate::ast::{Action, Cmp, Rule, StateValue, Trigger};
+use crate::ast::{Action, Cmp, Condition, Rule, StateValue, Trigger};
 use crate::channel::{Channel, Effect};
 use crate::device::{DeviceKind, Location};
 use serde::{Deserialize, Serialize};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How an action reaches a trigger.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -202,6 +208,177 @@ pub fn shares_surface(a: &Rule, b: &Rule) -> bool {
     }
 }
 
+/// Do `a` and `b` actuate the same device kind at coupled locations? This
+/// is Figure 1's device-mediated coupling, symmetric in `a` and `b`.
+pub fn shares_device(a: &Rule, b: &Rule) -> bool {
+    a.actions.iter().filter_map(Action::device).any(|(d1, l1)| {
+        b.actions
+            .iter()
+            .filter_map(Action::device)
+            .any(|(d2, l2)| d1 == d2 && l1.couples_with(l2))
+    })
+}
+
+/// Action→trigger weight when the path is a directly watched device.
+pub const WEIGHT_DEVICE: f32 = 1.0;
+/// Action→trigger weight when the path is a physical channel side effect.
+pub const WEIGHT_CHANNEL: f32 = 0.75;
+
+/// Mined correlation record for one *ordered* rule pair `(a, b)`: the edges
+/// from `a` to `b` in every full interaction graph holding both.
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+pub struct PairCorrelation {
+    /// Action→trigger weight: `Some` when a's action invokes b's trigger.
+    pub action_trigger: Option<f32>,
+    /// a and b actuate the same device kind at coupled locations.
+    pub shared_device: bool,
+    /// How many of b's conditions an action of a can fake (each one is an
+    /// `ActionCondition` edge, duplicates included).
+    pub action_condition: u32,
+}
+
+impl PairCorrelation {
+    /// Algorithm 1 on the ordered pair `(a, b)`.
+    pub fn mine(a: &Rule, b: &Rule) -> Self {
+        let action_condition = b
+            .conditions
+            .iter()
+            .filter_map(Condition::as_trigger)
+            .filter(|t| {
+                a.actions
+                    .iter()
+                    .any(|act| action_invokes_trigger(act, t).is_some())
+            })
+            .count() as u32;
+        Self {
+            action_trigger: action_triggers(a, b).map(|via| match via {
+                Via::Device(_) => WEIGHT_DEVICE,
+                Via::Channel(_) => WEIGHT_CHANNEL,
+            }),
+            shared_device: shares_device(a, b),
+            action_condition,
+        }
+    }
+
+    /// True when the record carries no correlation at all.
+    pub fn is_empty(&self) -> bool {
+        self.action_trigger.is_none() && !self.shared_device && self.action_condition == 0
+    }
+}
+
+/// One vocabulary token: a device kind or a physical channel. Two rules can
+/// be correlated only if a token emitted by one's actions is consumed by the
+/// other's trigger/conditions, or both actuate the same device token.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Token {
+    Dev(DeviceKind),
+    Chan(Channel),
+}
+
+/// Tokens a rule's actions *emit*: each actuated device kind, plus every
+/// channel that device can physically affect (a superset of
+/// `effective_affects` for any state, so no correlated pair escapes).
+fn action_tokens(rule: &Rule) -> BTreeSet<Token> {
+    let mut tokens = BTreeSet::new();
+    for (dev, _) in rule.actions.iter().filter_map(Action::device) {
+        tokens.insert(Token::Dev(dev));
+        tokens.extend(dev.affects().iter().map(|&(c, _)| Token::Chan(c)));
+    }
+    tokens
+}
+
+/// Tokens a rule's trigger *and conditions* consume: the watched device
+/// kind and/or channel. Time/voice/manual triggers consume nothing — the
+/// oracle can never invoke them.
+fn trigger_tokens(rule: &Rule) -> BTreeSet<Token> {
+    let mut tokens = BTreeSet::new();
+    let mut consume = |t: &Trigger| match *t {
+        Trigger::DeviceState {
+            device, attribute, ..
+        } => {
+            tokens.insert(Token::Dev(device));
+            tokens.extend(crate::ast::device_state_channel(device, attribute).map(Token::Chan));
+        }
+        Trigger::ChannelThreshold { channel, .. }
+        | Trigger::ChannelRange { channel, .. }
+        | Trigger::ChannelEvent { channel, .. } => {
+            tokens.insert(Token::Chan(channel));
+        }
+        Trigger::Time(_) | Trigger::Voice | Trigger::Manual => {}
+    };
+    consume(&rule.trigger);
+    for t in rule.conditions.iter().filter_map(Condition::as_trigger) {
+        consume(&t);
+    }
+    tokens
+}
+
+/// Rules indexed by vocabulary token, under caller-chosen keys (rule ids,
+/// slice positions). Every edge family of [`PairCorrelation`] needs a shared
+/// token: an action→trigger path needs a watched device or a fed channel, a
+/// shared device is a common actuated device token, and a faked condition
+/// is a trigger in disguise. So a rule's [`TokenIndex::neighborhood`] holds
+/// every rule it can be correlated with, in either direction.
+#[derive(Clone, Debug, Default)]
+pub struct TokenIndex<K> {
+    /// Token → rules whose *actions* emit it.
+    emitters: BTreeMap<Token, BTreeSet<K>>,
+    /// Token → rules whose *trigger/conditions* consume it.
+    consumers: BTreeMap<Token, BTreeSet<K>>,
+}
+
+impl<K: Copy + Ord> TokenIndex<K> {
+    pub fn add_rule(&mut self, key: K, rule: &Rule) {
+        for t in action_tokens(rule) {
+            self.emitters.entry(t).or_default().insert(key);
+        }
+        for t in trigger_tokens(rule) {
+            self.consumers.entry(t).or_default().insert(key);
+        }
+    }
+
+    /// Forget `rule`, added under `key`; tokens no rule uses any more go
+    /// with it.
+    pub fn remove_rule(&mut self, key: K, rule: &Rule) {
+        fn forget<K: Ord>(side: &mut BTreeMap<Token, BTreeSet<K>>, t: Token, key: &K) {
+            if let Some(keys) = side.get_mut(&t) {
+                keys.remove(key);
+                if keys.is_empty() {
+                    side.remove(&t);
+                }
+            }
+        }
+        for t in action_tokens(rule) {
+            forget(&mut self.emitters, t, &key);
+        }
+        for t in trigger_tokens(rule) {
+            forget(&mut self.consumers, t, &key);
+        }
+    }
+
+    /// Keys of the indexed rules that `rule` may be correlated with in
+    /// either direction, ascending, `key` itself excluded.
+    pub fn neighborhood(&self, key: K, rule: &Rule) -> BTreeSet<K> {
+        let mut neigh = BTreeSet::new();
+        for t in action_tokens(rule) {
+            neigh.extend(self.consumers.get(&t).into_iter().flatten());
+            // shared-device coupling is act×act, on device tokens only
+            if matches!(t, Token::Dev(_)) {
+                neigh.extend(self.emitters.get(&t).into_iter().flatten());
+            }
+        }
+        for t in trigger_tokens(rule) {
+            neigh.extend(self.emitters.get(&t).into_iter().flatten());
+        }
+        neigh.remove(&key);
+        neigh
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.emitters.is_empty() && self.consumers.is_empty()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,6 +550,45 @@ mod tests {
             action_invokes_trigger(&act, &Trigger::Time(crate::ast::TimeSpec::Sunset)),
             None
         );
+    }
+
+    #[test]
+    fn correlated_pairs_lie_in_the_token_neighborhood() {
+        // the structural guarantee behind neighborhood-scoped mining
+        let mut rules = crate::scenarios::table1_rules();
+        rules.extend(crate::scenarios::table4_settings());
+        let mut index = TokenIndex::default();
+        for (i, r) in rules.iter().enumerate() {
+            index.add_rule(i, r);
+        }
+        for (i, a) in rules.iter().enumerate() {
+            let neigh = index.neighborhood(i, a);
+            assert!(!neigh.contains(&i));
+            for (j, b) in rules.iter().enumerate() {
+                if i != j && !PairCorrelation::mine(a, b).is_empty() {
+                    assert!(neigh.contains(&j), "{}→{} outside", a.id.0, b.id.0);
+                }
+            }
+        }
+        for (i, r) in rules.iter().enumerate() {
+            index.remove_rule(i, r);
+        }
+        assert!(index.is_empty());
+    }
+
+    #[test]
+    fn mined_weights_follow_via() {
+        let rules = crate::scenarios::table1_rules();
+        for a in &rules {
+            for b in &rules {
+                let expected = action_triggers(a, b).map(|via| match via {
+                    Via::Device(_) => WEIGHT_DEVICE,
+                    Via::Channel(_) => WEIGHT_CHANNEL,
+                });
+                let mined = PairCorrelation::mine(a, b).action_trigger;
+                assert_eq!(mined.map(f32::to_bits), expected.map(f32::to_bits));
+            }
+        }
     }
 
     #[test]

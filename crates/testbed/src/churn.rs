@@ -267,7 +267,6 @@ pub struct ChurnHarness {
     generator: ChurnGenerator,
     pipeline: IncrementalPipeline,
     detector: GlintDetector<Itgnn, Itgnn>,
-    embedder: Itgnn,
     store: Option<ShardedStore>,
     counters: ScaleCounters,
     refresh_every: u64,
@@ -293,10 +292,7 @@ impl ChurnHarness {
             ..Default::default()
         };
         let classifier = Itgnn::new(&types, model_cfg.clone());
-        let embedder = Itgnn::new(&types, model_cfg.clone());
-        // seeded init is deterministic, so this is a bitwise clone of
-        // `embedder` for the detector's own copy
-        let detector_embedder = Itgnn::new(&types, model_cfg);
+        let embedder = Itgnn::new(&types, model_cfg);
         // warm-up: a few homes' worth of rules from an identically seeded
         // generator provide the drift detector's reference distribution
         let warm_cfg = ChurnConfig {
@@ -318,7 +314,7 @@ impl ChurnHarness {
         let embeddings = ContrastiveTrainer::embed_all(&embedder, &warm_graphs);
         let labels = vec![0usize; warm_graphs.len()];
         let drift = DriftDetector::fit(&embeddings, &labels);
-        let detector = GlintDetector::new(Vec::new(), classifier, detector_embedder, drift);
+        let detector = GlintDetector::new(Vec::new(), classifier, embedder, drift);
         let store = match (&cfg.shard_dir, cfg.persist_every) {
             (Some(dir), n) if n > 0 => Some(ShardedStore::open_or_create(dir)?),
             _ => None,
@@ -333,7 +329,6 @@ impl ChurnHarness {
             generator: ChurnGenerator::new(cfg),
             pipeline: IncrementalPipeline::new(),
             detector,
-            embedder,
             store,
             counters,
             churn_seen: 0,
@@ -366,7 +361,7 @@ impl ChurnHarness {
             self.detector.apply_delta(&ev.delta);
             self.counters.bootstrap_deltas += 1;
         }
-        self.pipeline.refresh(&self.embedder);
+        self.pipeline.refresh(self.detector.embedder());
         self.bootstrapped = true;
         Ok(())
     }
@@ -393,7 +388,7 @@ impl ChurnHarness {
         }
         self.churn_seen += 1;
         if self.churn_seen.is_multiple_of(self.refresh_every) {
-            self.pipeline.refresh(&self.embedder);
+            self.pipeline.refresh(self.detector.embedder());
         }
         if let Some(store) = &mut self.store {
             if self.persist_every > 0 && self.churn_seen.is_multiple_of(self.persist_every) {
@@ -412,7 +407,7 @@ impl ChurnHarness {
 
     /// Final refresh + counter rollup.
     pub fn finish(&mut self) -> ScaleCounters {
-        self.pipeline.refresh(&self.embedder);
+        self.pipeline.refresh(self.detector.embedder());
         let stats = self.pipeline.stats();
         self.counters.remined_pairs = stats.remined_pairs;
         self.counters.full_mine_pairs = stats.full_mine_pairs;

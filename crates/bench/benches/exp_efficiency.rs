@@ -17,6 +17,10 @@ use glint_rules::{CorpusConfig, CorpusGenerator};
 use glint_testbed::iruler::IRulerChecker;
 use std::time::Instant;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the harness compares wall-clock latencies by design"
+)]
 fn main() {
     let corpus = CorpusGenerator::generate_corpus(&CorpusConfig {
         scale: 0.001,

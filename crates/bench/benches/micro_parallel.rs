@@ -128,6 +128,10 @@ fn bench_batched_inference(c: &mut Criterion) {
 }
 
 /// Median-of-5 wall-clock seconds for one call.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the harness measures wall-clock speedups by design"
+)]
 fn time_it(f: impl Fn()) -> f64 {
     let mut samples: Vec<f64> = (0..5)
         .map(|_| {

@@ -73,6 +73,10 @@ struct Snapshot {
     peak_rss_kb: u64,
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the harness times every ingest-to-verdict delta by design"
+)]
 fn run(homes: u64) -> Snapshot {
     let cfg = config(homes);
     if let Some(dir) = &cfg.shard_dir {
@@ -98,7 +102,7 @@ fn run(homes: u64) -> Snapshot {
     let churn_s = begin.elapsed().as_secs_f64();
     let counters = harness.finish();
 
-    latencies_ms.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    latencies_ms.sort_by(f64::total_cmp);
     Snapshot {
         homes,
         p50: percentile(&latencies_ms, 50),

@@ -306,6 +306,10 @@ pub fn snapshot_counter(path: &std::path::Path, name: &str) -> Option<u64> {
 }
 
 /// Wall-clock helper.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "benchmarks report wall-clock time by design"
+)]
 pub fn timed<T>(label: &str, f: impl FnOnce() -> T) -> T {
     let start = std::time::Instant::now();
     let out = f();

@@ -298,6 +298,11 @@ impl<C: GraphModel, E: GraphModel> GlintDetector<C, E> {
     /// With `skip_classifier` the pipeline stops after drift screening
     /// (the deadline-pressure rung): the verdict is deliberately
     /// drift-only, not a classifier failure.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the degradation layer: a panic while embedding, classifying or \
+                  explaining one graph quarantines or degrades that graph only"
+    )]
     fn verdict(
         &self,
         graph: &InteractionGraph,

@@ -37,7 +37,11 @@ impl TransferOutcome {
 ///   (e.g. `["enc."]` to freeze the whole encoder, the paper's choice when
 ///   the target set is tiny; `["enc.l0"]` to freeze only the earliest layer
 ///   when the target set is large).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the protocol's inputs are independent: three models, the freeze \
+              list, two target splits and two schedules"
+)]
 pub fn run_transfer(
     scratch: &mut dyn GraphModel,
     transferred: &mut dyn GraphModel,

@@ -248,6 +248,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test catches the panic the site injects on purpose"
+    )]
     fn panic_action_panics_at_site() {
         let _guard = ScopedFail::new("tests.panic", Action::Panic, 1);
         let result = std::panic::catch_unwind(|| check("tests.panic"));

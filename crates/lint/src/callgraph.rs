@@ -841,29 +841,6 @@ fn is_screaming_case(s: &str) -> bool {
         && s.chars().any(|c| c.is_ascii_uppercase())
 }
 
-/// Convenience carried around by lib.rs: a built graph plus its derived
-/// hot information for one configuration.
-pub struct HotAnalysis {
-    pub graph: CallGraph,
-    /// Fns reachable from `Config::hot_entry_points`.
-    pub hot: BTreeSet<usize>,
-    /// path → hot body token ranges.
-    pub hot_ranges: BTreeMap<String, Vec<(usize, usize)>>,
-}
-
-impl HotAnalysis {
-    pub fn new(files: &[FileSyntax], hot_entry_points: &[String]) -> HotAnalysis {
-        let graph = CallGraph::build(files);
-        let hot = graph.reachable(hot_entry_points);
-        let hot_ranges = graph.hot_ranges(&hot);
-        HotAnalysis {
-            graph,
-            hot,
-            hot_ranges,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,10 +13,9 @@
 //!   hash-iteration types) inside any fn that the sink
 //!   entry points ([`Config::taint_sinks`] — verdict/score outputs, GLINTDUR
 //!   envelope writes, checkpoint payloads — plus deterministic-crate fns
-//!   with ordering-sensitive calls) can reach over the call graph. The
-//!   per-site wall-clock rule stays (it catches sources that reach
-//!   no sink yet); the taint pass adds the end-to-end flow evidence with a
-//!   witness chain sink → … → source.
+//!   with ordering-sensitive calls) can reach over the call graph, with a
+//!   witness chain sink → … → source. Sources that reach no sink yet are
+//!   clippy's: `clippy.toml` bans the clock reads and hash types per site.
 //! * **lock-order** (`lock-cycle`, `lock-across-call`) — lock-acquisition
 //!   sites per fn, may-acquire sets propagated through calls to a fixed
 //!   point, a workspace lock-order graph, cycle findings (potential
@@ -33,7 +32,7 @@
 //! cannot see are the known under-approximation.
 
 use crate::callgraph::CallGraph;
-use crate::lexer::{Tok, TokKind};
+use crate::lexer::{skip_balanced, Tok, TokKind};
 use crate::rules::{Config, Finding, RuleId, ORDER_FNS};
 use crate::syntax::{CallKind, FileSyntax};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -244,8 +243,7 @@ fn lock_identity(graph: &CallGraph, fn_idx: usize, lock_tok: usize, toks: &[Tok]
             if c.tok + 1 >= toks.len() || toks[c.tok + 1].text != "(" {
                 continue;
             }
-            let close = close_of(toks, c.tok + 1);
-            if close == Some(lock_tok - 2) {
+            if skip_balanced(toks, c.tok + 1, "(", ")") == lock_tok - 1 {
                 if let Some(&t) = graph.call_targets[fn_idx][k].first() {
                     return graph.fns[t].qualified();
                 }
@@ -269,25 +267,6 @@ fn lock_identity(graph: &CallGraph, fn_idx: usize, lock_tok: usize, toks: &[Tok]
         (Some(name), _) => format!("{}::{name}", f.krate),
         _ => format!("{}::<expr>", f.krate),
     }
-}
-
-/// Token index of the `)` closing the group opened at `open` (which must
-/// point at `(`), or `None` if unbalanced.
-fn close_of(toks: &[Tok], open: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (i, t) in toks.iter().enumerate().skip(open) {
-        match t.text.as_str() {
-            "(" => depth += 1,
-            ")" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 /// Compute the held region end for a lock acquired at `lock_tok`.

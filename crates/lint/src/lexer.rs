@@ -485,17 +485,6 @@ pub fn cfg_test_ranges(toks: &[Tok]) -> Vec<(usize, usize)> {
     out
 }
 
-/// Remove tokens belonging to `#[cfg(test)]` items. Test-only code is
-/// allowed to use whatever it likes — the invariants guard library code.
-pub fn strip_cfg_test(toks: &[Tok]) -> Vec<Tok> {
-    let ranges = cfg_test_ranges(toks);
-    toks.iter()
-        .enumerate()
-        .filter(|(i, _)| !ranges.iter().any(|&(s, e)| *i >= s && *i < e))
-        .map(|(_, t)| t.clone())
-        .collect()
-}
-
 fn is_cfg_test_attr(toks: &[Tok], i: usize) -> bool {
     let texts: Vec<&str> = toks
         .iter()
@@ -506,16 +495,16 @@ fn is_cfg_test_attr(toks: &[Tok], i: usize) -> bool {
     texts == ["#", "[", "cfg", "(", "test", ")", "]"]
 }
 
-/// Starting with `toks[open_idx] == open`, return the index just past the
-/// matching `close`.
-fn skip_balanced(toks: &[Tok], open_idx: usize, open: &str, close: &str) -> usize {
+/// Starting with `toks[open_idx] == open`, index just past the matching
+/// `close`. Tolerates unbalanced input by running to `toks.len()`.
+pub(crate) fn skip_balanced(toks: &[Tok], open_idx: usize, open: &str, close: &str) -> usize {
     let mut depth = 0usize;
     let mut j = open_idx;
     while j < toks.len() {
         if toks[j].text == open {
             depth += 1;
         } else if toks[j].text == close {
-            depth -= 1;
+            depth = depth.saturating_sub(1);
             if depth == 0 {
                 return j + 1;
             }
@@ -602,7 +591,7 @@ mod tests {
     }
 
     #[test]
-    fn cfg_test_blocks_are_stripped() {
+    fn cfg_test_ranges_cover_test_items_only() {
         let src = r#"
             fn lib_code() { keep_me(); }
             #[cfg(test)]
@@ -611,12 +600,15 @@ mod tests {
             }
             fn more_lib() { also_keep(); }
         "#;
-        let lexed = lex(src);
-        let kept = strip_cfg_test(&lexed.toks);
-        let ids: Vec<&str> = kept
+        let toks = lex(src).toks;
+        let ranges = cfg_test_ranges(&toks);
+        let ids: Vec<&str> = toks
             .iter()
-            .filter(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text.as_str())
+            .enumerate()
+            .filter(|(i, t)| {
+                t.kind == TokKind::Ident && !ranges.iter().any(|&(s, e)| *i >= s && *i < e)
+            })
+            .map(|(_, t)| t.text.as_str())
             .collect();
         assert!(ids.contains(&"keep_me"));
         assert!(ids.contains(&"also_keep"));

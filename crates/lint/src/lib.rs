@@ -5,14 +5,19 @@
 //! one `HashMap` iteration or one `partial_cmp(..).unwrap()` away from
 //! silently regressing. This crate pins them mechanically:
 //!
-//! * **determinism** — no std hash-collection types in deterministic-crate
-//!   library code, no wall-clock reads outside bench;
+//! * **determinism** — no wall-clock read or hash-ordered type may reach a
+//!   verdict, score or durable write over the call graph (`taint-flow`);
 //! * **NaN-safety** — no `partial_cmp(..).unwrap()`, no ordering adaptors
 //!   driven by `partial_cmp`, no float-literal `==`;
-//! * **panic-safety** — no `unwrap`/`expect`/panicking macros/`catch_unwind`
-//!   in *call-graph-hot* code;
+//! * **panic-safety** — no `unwrap`/`expect`/panicking macros in
+//!   *call-graph-hot* code;
 //! * **concurrency** — no non-`Relaxed` atomic orderings or lock
 //!   acquisitions in call-graph-hot code without a justification.
+//!
+//! The per-site bans on `HashMap`/`HashSet`, `Instant::now`,
+//! `SystemTime::now` and `catch_unwind` belong to clippy: the workspace
+//! `clippy.toml` lists them, and each deliberate use carries
+//! `#[expect(clippy::disallowed_*, reason = "…")]`.
 //!
 //! Two layers, no external parser:
 //!
@@ -120,7 +125,7 @@ pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Analysis {
             test_ranges: &f.test_ranges,
             hot_ranges: hot_ranges.get(f.path.as_str()).map_or(EMPTY, |v| v),
         };
-        let scan = rules::scan_file(&input, cfg);
+        let scan = rules::scan_file(&input);
         let extra = flow_by_file.remove(f.path.as_str()).unwrap_or_default();
         findings.extend(rules::finish_file(scan, extra));
     }

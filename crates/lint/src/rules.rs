@@ -3,11 +3,12 @@
 //!
 //! Four invariant families (see DESIGN.md "Static analysis architecture"):
 //!
-//! * **determinism** — `hash-collection`, `wall-clock` (path-scoped:
-//!   deterministic crates / non-bench code);
+//! * **determinism** — `taint-flow` (interprocedural, [`crate::dataflow`]);
+//!   the per-site bans on hash collections, wall-clock reads and
+//!   `catch_unwind` live in the workspace `clippy.toml`;
 //! * **NaN-safety** — `partial-cmp-unwrap`, `float-cmp-order`, `float-eq`
 //!   (everywhere);
-//! * **panic-safety** — `hot-unwrap`, `hot-panic`, `catch-unwind`;
+//! * **panic-safety** — `hot-unwrap`, `hot-panic`;
 //! * **concurrency** — `hot-atomic-ordering`, `hot-lock`.
 //!
 //! The `hot-*` rules are *reachability*-scoped: a region is hot when its
@@ -29,20 +30,17 @@
 //! well-formed pragma that suppresses nothing is reported under
 //! `unused-allow` — stale justifications cannot accumulate.
 
-use crate::lexer::{Comment, Tok, TokKind};
+use crate::lexer::{skip_balanced, Comment, Tok, TokKind};
 
 /// Stable rule identifiers (kebab-case, used in reports and pragmas).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
-    HashCollection,
-    WallClock,
     TaintFlow,
     PartialCmpUnwrap,
     FloatCmpOrder,
     FloatEq,
     HotUnwrap,
     HotPanic,
-    CatchUnwind,
     HotAtomicOrdering,
     HotLock,
     LockCycle,
@@ -54,15 +52,12 @@ pub enum RuleId {
 impl RuleId {
     pub fn as_str(self) -> &'static str {
         match self {
-            RuleId::HashCollection => "hash-collection",
-            RuleId::WallClock => "wall-clock",
             RuleId::TaintFlow => "taint-flow",
             RuleId::PartialCmpUnwrap => "partial-cmp-unwrap",
             RuleId::FloatCmpOrder => "float-cmp-order",
             RuleId::FloatEq => "float-eq",
             RuleId::HotUnwrap => "hot-unwrap",
             RuleId::HotPanic => "hot-panic",
-            RuleId::CatchUnwind => "catch-unwind",
             RuleId::HotAtomicOrdering => "hot-atomic-ordering",
             RuleId::HotLock => "hot-lock",
             RuleId::LockCycle => "lock-cycle",
@@ -79,9 +74,9 @@ impl RuleId {
     /// Invariant family, for reports.
     pub fn family(self) -> &'static str {
         match self {
-            RuleId::HashCollection | RuleId::WallClock | RuleId::TaintFlow => "determinism",
+            RuleId::TaintFlow => "determinism",
             RuleId::PartialCmpUnwrap | RuleId::FloatCmpOrder | RuleId::FloatEq => "nan-safety",
-            RuleId::HotUnwrap | RuleId::HotPanic | RuleId::CatchUnwind => "panic-safety",
+            RuleId::HotUnwrap | RuleId::HotPanic => "panic-safety",
             RuleId::HotAtomicOrdering
             | RuleId::HotLock
             | RuleId::LockCycle
@@ -93,15 +88,12 @@ impl RuleId {
 
 /// Every rule, in report order.
 pub const ALL_RULES: &[RuleId] = &[
-    RuleId::HashCollection,
-    RuleId::WallClock,
     RuleId::TaintFlow,
     RuleId::PartialCmpUnwrap,
     RuleId::FloatCmpOrder,
     RuleId::FloatEq,
     RuleId::HotUnwrap,
     RuleId::HotPanic,
-    RuleId::CatchUnwind,
     RuleId::HotAtomicOrdering,
     RuleId::HotLock,
     RuleId::LockCycle,
@@ -128,11 +120,11 @@ pub struct Finding {
 /// (`name`, `Type::method`, or `Type::*`) resolved against the call graph.
 #[derive(Clone, Debug)]
 pub struct Config {
-    /// Path prefixes where `hash-collection` applies: crates whose library
-    /// code must be insertion-order independent.
+    /// Crates whose library code must be insertion-order independent: their
+    /// fns that order floats are `taint-flow` sinks.
     pub deterministic_prefixes: Vec<String>,
-    /// Path prefixes exempt from `wall-clock` (benchmarks time things by
-    /// design).
+    /// Path prefixes whose wall-clock reads are not `taint-flow` sources
+    /// (benchmarks time things by design).
     pub clock_exempt_prefixes: Vec<String>,
     /// Hot entry points: the panic-safety and concurrency `hot-*` rules
     /// apply to every fn reachable from these over the call graph.
@@ -140,10 +132,6 @@ pub struct Config {
     /// Inference entry points: the allocation census walks the subgraph
     /// reachable from these (the serving fast path).
     pub inference_entry_points: Vec<String>,
-    /// Exact files allowed to use `catch_unwind`: the designated graceful-
-    /// degradation layer, where containing a panic to quarantine one graph
-    /// is the point. Everywhere else, swallowing panics hides bugs.
-    pub degradation_files: Vec<String>,
     /// Determinism-taint sinks: fn specs whose outputs must not depend on
     /// wall clocks or hash-iteration order. The taint pass
     /// reports every source site that can reach one of these over the call
@@ -217,12 +205,6 @@ impl Default for Config {
                 "GlintDetector::assess_batch".into(),
                 "GlintDetector::assess_under_pressure".into(),
             ],
-            degradation_files: vec![
-                "crates/core/src/detector.rs".into(),
-                // the serving layer's panic-isolation boundary: a worker
-                // containing a handler panic and respawning is the design
-                "crates/serve/src/worker.rs".into(),
-            ],
             taint_sinks: vec![
                 // verdict/score outputs
                 "GlintDetector::assess".into(),
@@ -257,9 +239,6 @@ impl Config {
         self.clock_exempt_prefixes
             .iter()
             .any(|p| path.starts_with(p.as_str()))
-    }
-    pub(crate) fn is_degradation(&self, path: &str) -> bool {
-        self.degradation_files.iter().any(|p| p == path)
     }
 }
 
@@ -360,7 +339,7 @@ fn parse_pragmas(file: &str, comments: &[Comment]) -> (Vec<Pragma>, Vec<Finding>
     (pragmas, findings)
 }
 
-/// Everything `check_file` needs to know about one file. Token ranges are
+/// Everything [`scan_file`] needs to know about one file. Token ranges are
 /// indices into `toks` (the FULL token stream — never a stripped copy, so
 /// the syntax layer's body ranges line up).
 pub struct FileInput<'a> {
@@ -393,16 +372,9 @@ pub struct FileScan {
     code_lines: Vec<u32>,
 }
 
-/// Run every applicable rule over one file and apply suppressions.
-/// Convenience wrapper over [`scan_file`] + [`finish_file`] with no
-/// interprocedural findings.
-pub fn check_file(input: &FileInput, cfg: &Config) -> Vec<Finding> {
-    finish_file(scan_file(input, cfg), Vec::new())
-}
-
 /// Run the per-site rules over one file; suppression is deferred to
 /// [`finish_file`].
-pub fn scan_file(input: &FileInput, cfg: &Config) -> FileScan {
+pub fn scan_file(input: &FileInput) -> FileScan {
     let path = input.path;
     // Mask cfg(test) tokens in place of stripping them: dead tokens become
     // empty Punct placeholders that no pattern can match, while every index
@@ -453,12 +425,6 @@ pub fn scan_file(input: &FileInput, cfg: &Config) -> FileScan {
     });
 
     let mut raw: Vec<Finding> = Vec::new();
-    if cfg.in_deterministic(path) {
-        rule_hash_collection(path, toks, &mut raw);
-    }
-    if !cfg.clock_exempt(path) {
-        rule_wall_clock(path, toks, &mut raw);
-    }
     rule_partial_cmp_unwrap(path, toks, &mut raw);
     rule_float_cmp_order(path, toks, &mut raw);
     rule_float_eq(path, toks, &mut raw);
@@ -467,9 +433,6 @@ pub fn scan_file(input: &FileInput, cfg: &Config) -> FileScan {
     rule_hot_panic(path, toks, &hot, &mut raw);
     rule_hot_atomic(path, toks, &hot, &mut raw);
     rule_hot_lock(path, toks, &hot, &mut raw);
-    if !cfg.is_degradation(path) {
-        rule_catch_unwind(path, toks, &mut raw);
-    }
 
     let mut code_lines: Vec<u32> = input
         .toks
@@ -567,76 +530,6 @@ fn is_ident(t: &Tok, text: &str) -> bool {
     t.kind == TokKind::Ident && t.text == text
 }
 
-/// `hash-collection`: `HashMap`/`HashSet` anywhere in deterministic-crate
-/// library code. Iteration order of std hash collections varies run-to-run
-/// (RandomState), and a token-level pass cannot prove a map is never
-/// iterated — so the types are banned outright; membership-only sites carry
-/// a justified pragma.
-fn rule_hash_collection(file: &str, toks: &[Tok], out: &mut Vec<Finding>) {
-    for t in toks {
-        if t.kind == TokKind::Ident && (t.text == "HashMap" || t.text == "HashSet") {
-            push(
-                out,
-                file,
-                t.line,
-                RuleId::HashCollection,
-                format!(
-                    "`{}` in deterministic crate code: iteration order is random per process; \
-                     use BTreeMap/BTreeSet or a sorted-key loop",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
-/// `wall-clock`: `Instant::now()` / `SystemTime::now()` outside bench code.
-fn rule_wall_clock(file: &str, toks: &[Tok], out: &mut Vec<Finding>) {
-    for w in toks.windows(3) {
-        if (is_ident(&w[0], "Instant") || is_ident(&w[0], "SystemTime"))
-            && w[1].text == "::"
-            && is_ident(&w[2], "now")
-        {
-            push(
-                out,
-                file,
-                w[0].line,
-                RuleId::WallClock,
-                format!(
-                    "`{}::now()` outside bench code: wall-clock reads make runs \
-                     non-reproducible; thread timing through explicit parameters",
-                    w[0].text
-                ),
-            );
-        }
-    }
-}
-
-/// Index just past the balanced `(...)` group starting at `open_idx`
-/// (which must point at `(`). If `toks[open_idx]` is not `(`, returns
-/// `open_idx` unchanged.
-fn skip_paren_group(toks: &[Tok], open_idx: usize) -> usize {
-    if toks.get(open_idx).map(|t| t.text.as_str()) != Some("(") {
-        return open_idx;
-    }
-    let mut depth = 0usize;
-    let mut j = open_idx;
-    while j < toks.len() {
-        match toks[j].text.as_str() {
-            "(" => depth += 1,
-            ")" => {
-                depth -= 1;
-                if depth == 0 {
-                    return j + 1;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    j
-}
-
 /// `partial-cmp-unwrap`: `partial_cmp(…).unwrap()` / `.expect(…)` — panics
 /// the moment a NaN reaches the comparison. `f32::total_cmp`/`f64::total_cmp`
 /// is the drop-in fix.
@@ -645,7 +538,10 @@ fn rule_partial_cmp_unwrap(file: &str, toks: &[Tok], out: &mut Vec<Finding>) {
         if !is_ident(t, "partial_cmp") {
             continue;
         }
-        let after = skip_paren_group(toks, i + 1);
+        let after = match toks.get(i + 1) {
+            Some(t) if t.text == "(" => skip_balanced(toks, i + 1, "(", ")"),
+            _ => i + 1,
+        };
         if toks.get(after).map(|t| t.text.as_str()) == Some(".")
             && toks
                 .get(after + 1)
@@ -686,7 +582,7 @@ fn rule_float_cmp_order(file: &str, toks: &[Tok], out: &mut Vec<Finding>) {
         if toks.get(open).map(|t| t.text.as_str()) != Some("(") {
             continue;
         }
-        let end = skip_paren_group(toks, open);
+        let end = skip_balanced(toks, open, "(", ")");
         if toks[open..end].iter().any(|t| is_ident(t, "partial_cmp")) {
             push(
                 out,
@@ -833,26 +729,6 @@ fn rule_hot_lock(file: &str, toks: &[Tok], hot: &dyn Fn(usize) -> bool, out: &mu
                      under the GLINT_THREADS determinism contract)",
                     t.text
                 ),
-            );
-        }
-    }
-}
-
-/// `catch-unwind`: `catch_unwind` outside the designated degradation layer.
-/// Containing a panic is legitimate exactly where one poisoned input must
-/// not kill its siblings (the serving path's quarantine); anywhere else it
-/// swallows bugs that typed errors should surface.
-fn rule_catch_unwind(file: &str, toks: &[Tok], out: &mut Vec<Finding>) {
-    for t in toks {
-        if is_ident(t, "catch_unwind") {
-            push(
-                out,
-                file,
-                t.line,
-                RuleId::CatchUnwind,
-                "`catch_unwind` outside the degradation layer: return typed errors \
-                 instead of containing panics (fault isolation belongs in the files \
-                 listed in `Config::degradation_files`)",
             );
         }
     }

@@ -19,7 +19,7 @@
 //! structurally (balanced delimiters) without being understood. Soundness
 //! caveats live with the resolver in `callgraph.rs`.
 
-use crate::lexer::{self, Lexed, Tok, TokKind};
+use crate::lexer::{self, skip_balanced, Lexed, Tok, TokKind};
 
 /// How a call site names its callee.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -667,25 +667,6 @@ fn skip_angles(toks: &[Tok], mut i: usize, to: usize) -> usize {
         i += 1;
     }
     i
-}
-
-/// Starting with `toks[open_idx] == open`, index just past the matching
-/// `close`. Tolerates unbalanced input by running to `toks.len()`.
-fn skip_balanced(toks: &[Tok], open_idx: usize, open: &str, close: &str) -> usize {
-    let mut depth = 0usize;
-    let mut j = open_idx;
-    while j < toks.len() {
-        if toks[j].text == open {
-            depth += 1;
-        } else if toks[j].text == close {
-            depth = depth.saturating_sub(1);
-            if depth == 0 {
-                return j + 1;
-            }
-        }
-        j += 1;
-    }
-    j
 }
 
 /// Keywords that look like calls when followed by `(`.

@@ -1,17 +1,6 @@
 // Fixture: every violation here carries a justified pragma, so the linter
 // must report nothing. Exercises same-line pragmas, previous-line pragmas,
 // multi-line wrapped justifications, and multi-rule pragmas.
-use std::time::Instant;
-
-pub fn dedup(ids: &[u32]) -> Vec<u32> {
-    // glint-lint: allow(hash-collection) — membership-only set, never iterated
-    let mut seen = std::collections::HashSet::new();
-    ids.iter().copied().filter(|i| seen.insert(*i)).collect()
-}
-
-pub fn stamp_for_log() -> Instant {
-    Instant::now() // glint-lint: allow(wall-clock) — log timestamp only, never feeds results
-}
 
 pub fn cmp_checked(a: f32, b: f32) -> std::cmp::Ordering {
     debug_assert!(!a.is_nan() && !b.is_nan());
@@ -39,6 +28,5 @@ pub fn hot_first(v: &[f32]) -> f32 {
         // programming error worth aborting on, not a value to fabricate
         panic!("kernel fed an empty slice");
     }
-    // glint-lint: allow(hot-unwrap) — guarded by the emptiness check above
-    *v.first().unwrap()
+    *v.first().unwrap() // glint-lint: allow(hot-unwrap) — guarded by the emptiness check above
 }

@@ -418,7 +418,7 @@ mod tests {
             seed: 4,
         };
         let rules = CorpusGenerator::generate_corpus(&cfg);
-        let ids: std::collections::HashSet<u32> = rules.iter().map(|r| r.id.0).collect();
+        let ids: std::collections::BTreeSet<u32> = rules.iter().map(|r| r.id.0).collect();
         assert_eq!(ids.len(), rules.len());
     }
 

@@ -46,7 +46,7 @@ pub enum DeviceKind {
 }
 
 /// Controllable / observable attribute of a device.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Attribute {
     /// On/off power state.
     Power,
@@ -380,7 +380,7 @@ mod tests {
     #[test]
     fn all_list_is_exhaustive_and_unique() {
         let all = DeviceKind::all();
-        let set: std::collections::HashSet<_> = all.iter().collect();
+        let set: std::collections::BTreeSet<_> = all.iter().collect();
         assert_eq!(set.len(), all.len());
         assert!(all.len() >= 35);
     }

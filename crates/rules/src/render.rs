@@ -459,7 +459,7 @@ mod tests {
                 }],
             )
         };
-        let texts: std::collections::HashSet<String> =
+        let texts: std::collections::BTreeSet<String> =
             (0..6).map(|i| render_rule(&make(i))).collect();
         assert!(texts.len() >= 2, "templates never vary: {texts:?}");
     }

@@ -475,7 +475,7 @@ mod tests {
     fn table1_has_nine_rules_from_three_platforms() {
         let rules = table1_rules();
         assert_eq!(rules.len(), 9);
-        let platforms: std::collections::HashSet<_> = rules.iter().map(|r| r.platform).collect();
+        let platforms: std::collections::BTreeSet<_> = rules.iter().map(|r| r.platform).collect();
         assert_eq!(platforms.len(), 3);
     }
 

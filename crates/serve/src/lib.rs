@@ -69,10 +69,13 @@ pub const SITE_RESPOND: &str = "serve.respond";
 pub(crate) mod clock {
     use std::time::Instant;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "deadline enforcement and latency metrics need a monotonic \
+                  clock; verdicts depend only on the discrete pressure rung \
+                  derived from it, never on the raw time"
+    )]
     pub(crate) fn now() -> Instant {
-        // glint-lint: allow(wall-clock) — deadline enforcement and latency
-        // metrics need a monotonic clock; verdicts depend only on the
-        // discrete pressure rung derived from it, never on the raw time
         Instant::now()
     }
 }

@@ -26,6 +26,11 @@ pub(crate) fn spawn_worker(shared: &Arc<Shared>) {
 /// handled under `catch_unwind`; a caught panic terminates this worker
 /// (its loop state is suspect) after answering the victim request and
 /// arranging a replacement.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the serving layer's panic-isolation boundary: a handler panic \
+              answers its request with a 500 and respawns the worker"
+)]
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop() {
         if glint_trace::enabled() {

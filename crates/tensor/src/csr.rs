@@ -105,9 +105,7 @@ impl Csr {
     /// the paper's graph classification setting.
     pub fn normalized_adjacency(n: usize, edges: &[(usize, usize)]) -> Self {
         let mut triplets: Vec<(usize, usize, f32)> = Vec::with_capacity(edges.len() * 2 + n);
-        // glint-lint: allow(hash-collection, taint-flow) — membership-only
-        // dedup set: never iterated, so hash order cannot reach the CSR layout
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for &(u, v) in edges {
             assert!(u < n && v < n, "edge ({u},{v}) out of bounds for {n} nodes");
             if seen.insert((u, v)) {
@@ -141,9 +139,7 @@ impl Csr {
     /// mean-neighbourhood aggregators.
     pub fn row_normalized(n: usize, edges: &[(usize, usize)]) -> Self {
         let mut triplets: Vec<(usize, usize, f32)> = Vec::new();
-        // glint-lint: allow(hash-collection, taint-flow) — membership-only
-        // dedup set: never iterated, so hash order cannot reach the CSR layout
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for &(u, v) in edges {
             assert!(u < n && v < n);
             if seen.insert((u, v)) {

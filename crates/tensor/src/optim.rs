@@ -228,8 +228,10 @@ impl Optimizer for Sgd {
         // pass per parameter replaces the old clone/scale/axpy sequence with
         // the same floating-point expressions (bitwise-identical trajectory,
         // zero allocations after the velocity buffers exist).
-        // i indexes four parallel arrays (frozen, mats, vars, velocity)
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "i indexes four parallel arrays (frozen, mats, vars, velocity)"
+        )]
         for i in 0..params.len() {
             if params.frozen[i] {
                 continue;
@@ -331,8 +333,10 @@ impl Optimizer for Adam {
         // same order), so trajectories and `state()` round-trips stay
         // bitwise-identical — the step just stops allocating O(params) fresh
         // matrices once the moment buffers exist.
-        // i indexes the parallel arrays (frozen, mats, vars, m, v)
-        #[allow(clippy::needless_range_loop)]
+        #[expect(
+            clippy::needless_range_loop,
+            reason = "i indexes five parallel arrays (frozen, mats, vars, m, v)"
+        )]
         for i in 0..params.len() {
             if params.frozen[i] {
                 continue;

@@ -10,7 +10,7 @@
 use glint_rules::event::{EventKind, EventLog};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A mined binary correlation: antecedent event key → consequent event key
 /// expected within `window` seconds, with observed confidence.
@@ -44,7 +44,7 @@ pub struct HaWatcher {
     pub min_support: usize,
     correlations: Vec<Correlation>,
     /// Keys seen in training (events outside the vocabulary are suspicious).
-    known_keys: HashMap<String, usize>,
+    known_keys: BTreeMap<String, usize>,
     rng_seed: u64,
 }
 
@@ -55,7 +55,7 @@ impl HaWatcher {
             min_confidence: 0.8,
             min_support: 3,
             correlations: Vec::new(),
-            known_keys: HashMap::new(),
+            known_keys: BTreeMap::new(),
             rng_seed: 0,
         }
     }
@@ -68,8 +68,8 @@ impl HaWatcher {
             .iter()
             .filter_map(|r| event_key(&r.kind).map(|k| (r.timestamp, k)))
             .collect();
-        let mut antecedent_count: HashMap<String, usize> = HashMap::new();
-        let mut pair_count: HashMap<(String, String), usize> = HashMap::new();
+        let mut antecedent_count: BTreeMap<String, usize> = BTreeMap::new();
+        let mut pair_count: BTreeMap<(String, String), usize> = BTreeMap::new();
         for (i, (t, a)) in events.iter().enumerate() {
             *antecedent_count.entry(a.clone()).or_default() += 1;
             *self.known_keys.entry(a.clone()).or_default() += 1;

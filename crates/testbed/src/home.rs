@@ -1,7 +1,7 @@
 //! The testbed home: device inventory and layout (Figure 10).
 
 use glint_rules::{Attribute, DeviceKind, Location, StateValue};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One deployed device instance.
 #[derive(Clone, Debug, PartialEq)]
@@ -9,12 +9,12 @@ pub struct DeviceInstance {
     pub kind: DeviceKind,
     pub location: Location,
     /// Current attribute states.
-    pub state: HashMap<Attribute, StateValue>,
+    pub state: BTreeMap<Attribute, StateValue>,
 }
 
 impl DeviceInstance {
     pub fn new(kind: DeviceKind, location: Location) -> Self {
-        let mut state = HashMap::new();
+        let mut state = BTreeMap::new();
         for &attr in kind.attributes() {
             state.insert(attr, default_state(attr));
         }

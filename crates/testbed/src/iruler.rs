@@ -8,7 +8,7 @@
 //! depth, while Glint's learned detector stays O(graph size).
 
 use glint_rules::{Action, DeviceKind, Location, Rule, StateValue, Trigger};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Abstract home state: device/location → discrete state.
 type AbstractState = BTreeMap<(DeviceKind, Location), StateValue>;
@@ -100,12 +100,12 @@ impl IRulerChecker {
             violations: Vec::new(),
             truncated: false,
         };
-        let mut seen: HashSet<String> = HashSet::new();
+        let mut seen: BTreeSet<String> = BTreeSet::new();
         // frontier: (state, depth, last write per device: rule id + value)
         type Writes = BTreeMap<(DeviceKind, Location), (u32, StateValue)>;
         let mut queue: VecDeque<(AbstractState, usize, Writes)> = VecDeque::new();
         queue.push_back((AbstractState::new(), 0, Writes::new()));
-        let mut violations: HashSet<(u32, u32)> = HashSet::new();
+        let mut violations: BTreeSet<(u32, u32)> = BTreeSet::new();
         while let Some((state, depth, writes)) = queue.pop_front() {
             if outcome.explored_states >= self.max_states {
                 outcome.truncated = true;

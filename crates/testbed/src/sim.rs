@@ -8,7 +8,7 @@ use glint_rules::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Simulation parameters.
 #[derive(Clone, Debug)]
@@ -37,12 +37,12 @@ impl Default for SimConfig {
 #[derive(Clone, Debug)]
 pub struct Environment {
     /// (channel, house zone) → value. Temperature in °F, humidity %, etc.
-    values: HashMap<(Channel, Location), f64>,
+    values: BTreeMap<(Channel, Location), f64>,
 }
 
 impl Environment {
     fn new() -> Self {
-        let mut values = HashMap::new();
+        let mut values = BTreeMap::new();
         values.insert((Channel::Temperature, Location::Outdoor), 70.0);
         values.insert((Channel::Temperature, Location::House), 72.0);
         values.insert((Channel::Humidity, Location::House), 45.0);
@@ -82,7 +82,7 @@ pub struct Simulator {
     log: EventLog,
     now: f64,
     /// Per-rule time triggers already fired in the current hour-window.
-    time_fired: HashMap<u32, i64>,
+    time_fired: BTreeMap<u32, i64>,
 }
 
 impl Simulator {
@@ -96,7 +96,7 @@ impl Simulator {
             rng,
             log: EventLog::new(),
             now: 0.0,
-            time_fired: HashMap::new(),
+            time_fired: BTreeMap::new(),
         }
     }
 

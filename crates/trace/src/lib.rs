@@ -199,14 +199,18 @@ pub struct SpanGuard {
 /// Open a hierarchical span. When tracing is disabled this is one relaxed
 /// atomic load and the guard is a no-op. Durations come from the monotonic
 /// clock ([`Instant`]), so they never go backwards under wall-clock steps.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "span durations are observability output only; recorded counts \
+              and structure never depend on them"
+)]
 pub fn span(name: &'static str) -> SpanGuard {
     if !enabled() {
         return SpanGuard { start: None };
     }
     SPAN_STACK.with(|s| s.borrow_mut().push(name));
-    // glint-lint: allow(wall-clock, taint-flow) — span durations are
-    // observability output only; recorded counts and structure never
-    // depend on them
+    // glint-lint: allow(taint-flow) — span durations are observability
+    // output only; recorded counts and structure never depend on them
     let start = Instant::now();
     SpanGuard { start: Some(start) }
 }
@@ -429,6 +433,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test unwinds through an open span on purpose"
+    )]
     fn span_path_survives_panic_unwind() {
         with_tracing(|| {
             let result = std::panic::catch_unwind(|| {

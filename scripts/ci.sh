@@ -7,8 +7,13 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
-echo "== cargo clippy (workspace, all targets, -D warnings) =="
-cargo clippy --workspace --all-targets -- -D warnings
+echo "== cargo clippy (workspace, all targets, -D warnings, clippy.toml bans) =="
+# clippy.toml bans hash collections, wall-clock reads and catch_unwind. A
+# deliberate use carries #[expect(clippy::disallowed_*, reason = "...")]:
+# the two allow_attributes lints reject #[allow] and a missing reason, and
+# an expectation that stops firing fails as unfulfilled_lint_expectations.
+cargo clippy --workspace --all-targets -- -D warnings \
+  -D clippy::allow_attributes -D clippy::allow_attributes_without_reason
 
 echo "== glint-lint (invariants + taint/lock-order dataflow + census & panic-surface ratchets) =="
 # The --baseline stage fails on findings, on allocation-census growth, AND

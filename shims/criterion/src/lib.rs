@@ -5,6 +5,10 @@
 //!
 //! Set `GLINT_BENCH_FAST=1` to cut samples to the minimum, e.g. when a CI
 //! job only needs the harness to run end-to-end.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a benchmark harness measures wall-clock time by design"
+)]
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};

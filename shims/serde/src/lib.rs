@@ -9,6 +9,11 @@
 //!
 //! Encoding is self-consistent (round-trips within this shim) but is *not*
 //! guaranteed byte-compatible with upstream serde_json.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the shim implements serde's HashMap impls; it sorts map keys on \
+              serialization, so output is order-independent"
+)]
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;

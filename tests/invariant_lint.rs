@@ -1,8 +1,10 @@
 //! Tier-1 self-test: the workspace must be clean under its own invariant
-//! checker. Any new HashMap in a deterministic crate, `partial_cmp(..)
-//! .unwrap()`, wall-clock read outside bench, or unwrap/panic/lock in a
+//! checker. A `partial_cmp(..).unwrap()`, a float-literal `==`, a clock or
+//! hash-ordered source that reaches a verdict, or an unwrap/panic/lock in a
 //! call-graph-hot fn fails this test with a file:line report — the same
-//! output `scripts/ci.sh` prints from the `glint-lint` binary stage.
+//! output `scripts/ci.sh` prints from the `glint-lint` binary stage. The
+//! per-site bans on hash collections, wall-clock reads and `catch_unwind`
+//! are clippy's; this file checks that `clippy.toml` still lists them.
 //!
 //! Also validates the analysis layer itself: every crate's sources are
 //! visited, the BENCH_lint.json report parses under the serde_json shim,
@@ -26,6 +28,51 @@ fn workspace_is_lint_clean() {
         findings.len(),
         glint_lint::report::human(&findings)
     );
+}
+
+/// clippy enforces the bans on hash collections, wall-clock reads and
+/// `catch_unwind` through `clippy.toml`. `HashSet` and `SystemTime::now`
+/// have no `#[expect]` site whose expectation would go unfulfilled, so
+/// deleting their entries, or the whole file, would otherwise pass CI.
+#[test]
+fn clippy_toml_bans_hash_collections_clocks_and_catch_unwind() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(root.join("clippy.toml"))
+        .expect("clippy.toml must exist at the workspace root");
+    let code = text
+        .lines()
+        .filter(|l| !l.trim_start().starts_with('#'))
+        .collect::<Vec<_>>()
+        .join("\n");
+    let banned = |key: &str| -> Vec<&str> {
+        let start = code
+            .find(&format!("{key} = ["))
+            .unwrap_or_else(|| panic!("clippy.toml has no `{key}` list"));
+        let list = &code[start..];
+        let list = &list[..list.find(']').expect("unterminated list")];
+        list.split("path = \"")
+            .skip(1)
+            .filter_map(|s| s.split('"').next())
+            .collect()
+    };
+    let types = banned("disallowed-types");
+    for path in ["std::collections::HashMap", "std::collections::HashSet"] {
+        assert!(
+            types.contains(&path),
+            "clippy.toml must ban `{path}`: {types:?}"
+        );
+    }
+    let methods = banned("disallowed-methods");
+    for path in [
+        "std::time::Instant::now",
+        "std::time::SystemTime::now",
+        "std::panic::catch_unwind",
+    ] {
+        assert!(
+            methods.contains(&path),
+            "clippy.toml must ban `{path}`: {methods:?}"
+        );
+    }
 }
 
 /// The analyzer must visit every crate in the workspace — a crate whose

@@ -130,6 +130,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "opaque panic payload".into())
 }
 
+/// The first rule with id `id` in `rules`, which is sorted by id: what a
+/// front-to-back scan finds, in O(log n).
+fn deployed_rule(rules: &[Rule], id: u32) -> Option<&Rule> {
+    let at = rules.partition_point(|r| r.id.0 < id);
+    rules.get(at).filter(|r| r.id.0 == id)
+}
+
 /// The deployed Glint instance: deployed rules + trained models.
 pub struct GlintDetector<C: GraphModel, E: GraphModel> {
     rules: Vec<Rule>,
@@ -376,11 +383,19 @@ impl<C: GraphModel, E: GraphModel> GlintDetector<C, E> {
         };
         // step ⑦: warning with explained causes. Explanation reuses the
         // classifier, so on the fallback rung (or if explain itself fails)
-        // the warning is raised without cause attribution.
+        // the warning is raised without cause attribution. On the full rung
+        // `prepared` and the probability are the classifier's own, so the
+        // explainer runs only its deletion passes.
         let warning = if is_threat || drifting {
             let causes_idx = if degradation == Degradation::None {
                 catch_unwind(AssertUnwindSafe(|| {
-                    explain::top_causes(&self.classifier, graph, self.top_k_causes)
+                    explain::top_causes_prepared(
+                        &self.classifier,
+                        graph,
+                        &prepared,
+                        threat_probability,
+                        self.top_k_causes,
+                    )
                 }))
                 .unwrap_or_default()
             } else {
@@ -388,10 +403,7 @@ impl<C: GraphModel, E: GraphModel> GlintDetector<C, E> {
             };
             let causes: Vec<&Rule> = causes_idx
                 .iter()
-                .filter_map(|&i| {
-                    let id = graph.node(i).rule_id.0;
-                    self.rules.iter().find(|r| r.id.0 == id)
-                })
+                .filter_map(|&i| deployed_rule(&self.rules, graph.node(i).rule_id.0))
                 .collect();
             Some(Warning::new(drifting && !is_threat, &causes))
         } else {
@@ -460,6 +472,31 @@ mod tests {
         let labels: Vec<usize> = prepared.iter().map(|g| g.label.unwrap()).collect();
         let drift = DriftDetector::fit(&emb, &labels);
         (classifier, embedder, drift)
+    }
+
+    #[test]
+    fn deployed_rule_finds_the_first_of_equal_ids() {
+        let mut rules = table1_rules();
+        // a second rule 4 and a second rule 9, on other platforms
+        let mut dup4 = rules[3].clone();
+        dup4.platform = Platform::HomeAssistant;
+        let mut dup9 = rules[8].clone();
+        dup9.platform = Platform::Ifttt;
+        rules.extend([dup4, dup9]);
+        // `new`'s stable sort keeps equal ids in input order
+        rules.sort_by_key(|r| r.id.0);
+        let ids: Vec<u32> = rules.iter().map(|r| r.id.0).collect();
+        assert!(ids.windows(2).any(|w| w[0] == w[1]), "{ids:?}");
+        for id in 0..=ids.iter().max().copied().unwrap_or(0) + 1 {
+            let scanned = rules.iter().find(|r| r.id.0 == id);
+            let found = deployed_rule(&rules, id);
+            assert_eq!(
+                found.map(|r| (r.id, r.platform)),
+                scanned.map(|r| (r.id, r.platform)),
+                "id {id}"
+            );
+        }
+        assert!(deployed_rule(&[], 1).is_none());
     }
 
     #[test]

@@ -4,6 +4,30 @@
 //! uses deletion-based attribution, which needs no extra model: a node's
 //! importance is how much the threat probability drops when the node is
 //! removed from the graph.
+//!
+//! ## Cost
+//!
+//! Explaining an n-node graph takes one classifier forward per deletion.
+//! [`top_causes_prepared`] takes the graph's prepared form and threat
+//! probability from a caller that already scored it (the detector does),
+//! so it runs the n deletion forwards alone; [`node_importance`] and
+//! [`top_causes`] prepare and score the graph first, n + 1 forwards in all.
+//! The deletions share two things:
+//!
+//! - **Preparation.** Each deletion is prepared straight from the graph by
+//!   `PreparedGraph::without_node`; the smaller graph is never built.
+//! - **Projection.** A model whose forward starts with a node-local stage
+//!   (`GraphModel::project_infer`: ITGNN's per-platform projection) runs
+//!   that stage once over the whole graph. Each deletion gathers its kept
+//!   rows and runs the rest of the forward
+//!   (`GraphModel::forward_infer_projected`). Other models run each
+//!   deletion's full forward.
+//!
+//! Neither changes a bit of a score. A projected row is its node's feature
+//! row times its platform's weight, accumulated from +0.0 and scattered
+//! into place from +0.0, so it does not depend on which other nodes the
+//! graph holds. `without_node` equals `from_graph` of the reduced graph
+//! field for field.
 
 use glint_gnn::batch::PreparedGraph;
 use glint_gnn::models::GraphModel;
@@ -12,18 +36,49 @@ use glint_graph::InteractionGraph;
 
 /// Per-node importance scores for the threat prediction, descending.
 pub fn node_importance(model: &dyn GraphModel, g: &InteractionGraph) -> Vec<(usize, f64)> {
-    let base = ClassifierTrainer::predict_proba(model, &PreparedGraph::from_graph(g)) as f64;
-    let mut scores: Vec<(usize, f64)> = (0..g.n_nodes())
-        .map(|drop| {
-            if g.n_nodes() <= 1 {
-                return (drop, 0.0);
-            }
-            let reduced = remove_node(g, drop);
-            let p = ClassifierTrainer::predict_proba(model, &PreparedGraph::from_graph(&reduced))
-                as f64;
-            (drop, base - p)
-        })
-        .collect();
+    let prepared = PreparedGraph::from_graph(g);
+    let p = ClassifierTrainer::predict_proba(model, &prepared);
+    node_importance_prepared(model, g, &prepared, p)
+}
+
+/// [`node_importance`] past the scoring of `g` itself (see
+/// [`top_causes_prepared`]).
+fn node_importance_prepared(
+    model: &dyn GraphModel,
+    g: &InteractionGraph,
+    prepared: &PreparedGraph,
+    p: f32,
+) -> Vec<(usize, f64)> {
+    let n = g.n_nodes();
+    if n <= 1 {
+        // deleting the only node leaves no graph to score
+        return (0..n).map(|drop| (drop, 0.0)).collect();
+    }
+    let base = f64::from(p);
+    let mut scores = glint_tensor::infer::with_ctx(|ctx| {
+        let projected = model.project_infer(ctx, prepared);
+        let mut keep = Vec::with_capacity(n);
+        let scores: Vec<(usize, f64)> = (0..n)
+            .map(|drop| {
+                let reduced = PreparedGraph::without_node(g, drop);
+                let out = match &projected {
+                    Some(h) => {
+                        keep.clear();
+                        keep.extend((0..n).filter(|&i| i != drop));
+                        let rows = ctx.gather_rows(h, &keep);
+                        model.forward_infer_projected(ctx, &reduced, rows)
+                    }
+                    None => model.forward_infer(ctx, &reduced),
+                };
+                let p = ClassifierTrainer::threat_probability(ctx, out);
+                (drop, base - f64::from(p))
+            })
+            .collect();
+        if let Some(h) = projected {
+            ctx.release(h);
+        }
+        scores
+    });
     rank_desc(&mut scores);
     scores
 }
@@ -38,29 +93,26 @@ fn rank_desc(scores: &mut [(usize, f64)]) {
 
 /// The top-k most influential nodes (the warning's "potential causes").
 pub fn top_causes(model: &dyn GraphModel, g: &InteractionGraph, k: usize) -> Vec<usize> {
-    node_importance(model, g)
+    let prepared = PreparedGraph::from_graph(g);
+    let p = ClassifierTrainer::predict_proba(model, &prepared);
+    top_causes_prepared(model, g, &prepared, p, k)
+}
+
+/// [`top_causes`] of a graph the caller already scored: `prepared` is
+/// `PreparedGraph::from_graph(g)` and `p` the model's threat probability on
+/// it. Runs one forward per deletion and no other.
+pub fn top_causes_prepared(
+    model: &dyn GraphModel,
+    g: &InteractionGraph,
+    prepared: &PreparedGraph,
+    p: f32,
+    k: usize,
+) -> Vec<usize> {
+    node_importance_prepared(model, g, prepared, p)
         .into_iter()
         .take(k)
         .map(|(i, _)| i)
         .collect()
-}
-
-/// `g` without node `drop`: the nodes after it shift down by one, and the
-/// edges touching it vanish.
-fn remove_node(g: &InteractionGraph, drop: usize) -> InteractionGraph {
-    let remap = |i: usize| (i != drop).then(|| i - usize::from(i > drop));
-    let nodes = (0..g.n_nodes())
-        .filter(|&i| i != drop)
-        .map(|i| g.node(i).clone())
-        .collect();
-    let mut out = InteractionGraph::new(nodes);
-    for &(u, v, kind) in g.edges() {
-        if let (Some(nu), Some(nv)) = (remap(u), remap(v)) {
-            out.add_edge(nu, nv, kind);
-        }
-    }
-    out.label = g.label;
-    out
 }
 
 #[cfg(test)]
@@ -82,48 +134,6 @@ mod tests {
             g.add_edge(i, i + 1, EdgeKind::ActionTrigger);
         }
         g.with_label(GraphLabel::Threat)
-    }
-
-    #[test]
-    fn remove_node_rewires_edges() {
-        let g = graph(4);
-        let r = remove_node(&g, 1);
-        assert_eq!(r.n_nodes(), 3);
-        // edges 0→1 and 1→2 vanish; 2→3 becomes 1→2 in the new indexing
-        assert_eq!(r.n_edges(), 1);
-        assert_eq!(r.edges()[0].0, 1);
-        assert_eq!(r.edges()[0].1, 2);
-
-        // a 5-chain plus back, skip and shared-device edges of every kind
-        use EdgeKind::{ActionCondition as Ac, ActionTrigger as At, SharedDevice as Sd};
-        let mut g = graph(5);
-        for (u, v, kind) in [(4, 0, Ac), (0, 2, Sd), (2, 0, Sd), (3, 1, Ac)] {
-            g.add_edge(u, v, kind);
-        }
-        // dropping the first, a middle and the last node
-        let expected = [
-            (0, vec![(0, 1, At), (1, 2, At), (2, 3, At), (2, 0, Ac)]),
-            (2, vec![(0, 1, At), (2, 3, At), (3, 0, Ac), (2, 1, Ac)]),
-            (
-                4,
-                vec![
-                    (0, 1, At),
-                    (1, 2, At),
-                    (2, 3, At),
-                    (0, 2, Sd),
-                    (2, 0, Sd),
-                    (3, 1, Ac),
-                ],
-            ),
-        ];
-        for (drop, edges) in expected {
-            let r = remove_node(&g, drop);
-            assert_eq!(r.edges(), edges, "drop {drop}");
-            let kept: Vec<u32> = r.nodes().iter().map(|n| n.rule_id.0).collect();
-            let want: Vec<u32> = (0..5).filter(|&i| i != drop as u32).collect();
-            assert_eq!(kept, want, "drop {drop}");
-            assert_eq!(r.label, g.label);
-        }
     }
 
     #[test]

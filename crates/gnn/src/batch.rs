@@ -1,7 +1,8 @@
 //! Graph preparation: adjacency variants, typed feature blocks, and
 //! metapath aggregation operators, precomputed once per graph.
 
-use glint_graph::hetero::{default_metapaths, metapath_instances, Metapath};
+use glint_graph::graph::Node;
+use glint_graph::hetero::{default_metapaths, nodes_by_type, Metapath, NeighborTable};
 use glint_graph::InteractionGraph;
 use glint_rules::Platform;
 use glint_tensor::{Csr, Matrix};
@@ -87,35 +88,55 @@ pub struct PreparedGraph {
 
 impl PreparedGraph {
     pub fn from_graph(g: &InteractionGraph) -> Self {
-        let n = g.n_nodes();
+        Self::prepare(g, None)
+    }
+
+    /// `g` with node `drop` deleted: the nodes after it shift down by one
+    /// and the edges touching it vanish. Equal field for field to
+    /// `from_graph` of that smaller graph, which is never built.
+    pub fn without_node(g: &InteractionGraph, drop: usize) -> Self {
+        Self::prepare(g, Some(drop))
+    }
+
+    /// The one preparation body: `g`'s nodes except `drop`, renumbered in
+    /// order, and the edges between them.
+    fn prepare(g: &InteractionGraph, drop: Option<usize>) -> Self {
+        let renumber = |i: usize| match drop {
+            Some(d) if i == d => None,
+            Some(d) if i > d => Some(i - 1),
+            _ => Some(i),
+        };
+        let nodes: Vec<&Node> = g
+            .nodes()
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| Some(i) != drop)
+            .map(|(_, node)| node)
+            .collect();
+        let n = nodes.len();
         assert!(n > 0, "cannot prepare an empty graph");
-        let undirected = g.undirected_edges();
-        let adj_norm = Csr::normalized_adjacency(n, &undirected);
-        let adj_row = Csr::row_normalized(n, &undirected);
-        let mut sum_triplets = Vec::new();
-        let mut seen = std::collections::BTreeSet::new();
-        for &(u, v) in &undirected {
-            if u != v && seen.insert((u, v)) {
-                sum_triplets.push((u, v, 1.0));
-            }
-            if u != v && seen.insert((v, u)) {
-                sum_triplets.push((v, u, 1.0));
-            }
-        }
-        let adj_sum = Csr::from_triplets(n, n, &sum_triplets);
+        let edges: Vec<(usize, usize)> = g
+            .edges()
+            .iter()
+            .filter_map(|&(u, v, _)| Some((renumber(u)?, renumber(v)?)))
+            .collect();
+        let adj_norm = Csr::normalized_adjacency(n, &edges);
+        let adj_row = Csr::row_normalized(n, &edges);
+        let adj_sum = Csr::symmetric_adjacency(n, &edges);
 
         // typed feature blocks
+        let types: Vec<Platform> = nodes.iter().map(|node| node.platform).collect();
         let mut by_type: Vec<TypeBlock> = Vec::new();
-        for (platform, indices) in glint_graph::hetero::nodes_by_type(g) {
-            let dim = g.node(indices[0]).features.len();
+        for (platform, indices) in nodes_by_type(&types) {
+            let dim = nodes[indices[0]].features.len();
             let mut feats = Matrix::zeros(indices.len(), dim);
             for (k, &i) in indices.iter().enumerate() {
                 assert_eq!(
-                    g.node(i).features.len(),
+                    nodes[i].features.len(),
                     dim,
                     "ragged features within a type"
                 );
-                feats.row_mut(k).copy_from_slice(&g.node(i).features);
+                feats.row_mut(k).copy_from_slice(&nodes[i].features);
             }
             let select = Csr::from_triplets(
                 n,
@@ -154,23 +175,18 @@ impl PreparedGraph {
                 valid_rows: block.indices.clone(),
             });
         }
-        for path in default_metapaths(g) {
-            let mut triplets: Vec<(usize, usize, f32)> = Vec::new();
+        let platforms: Vec<Platform> = by_type.iter().map(|b| b.platform).collect();
+        let neighbors = NeighborTable::new(types, edges.iter().copied());
+        let mut triplets: Vec<(usize, usize, f32)> = Vec::new();
+        for path in default_metapaths(&platforms) {
+            triplets.clear();
             let mut valid_rows = Vec::new();
-            for v in 0..n {
-                let instances = metapath_instances(g, v, &path);
-                if instances.is_empty() {
-                    continue;
-                }
+            neighbors.for_each_start(&path, |v, walks| {
                 valid_rows.push(v);
                 // average projected features over all nodes of all instances
-                let total = (instances.len() * path.len()) as f32;
-                for inst in &instances {
-                    for &u in inst {
-                        triplets.push((v, u, 1.0 / total));
-                    }
-                }
-            }
+                let total = walks.len() as f32;
+                triplets.extend(walks.iter().map(|&u| (v, u, 1.0 / total)));
+            });
             if valid_rows.is_empty() {
                 continue;
             }
@@ -181,6 +197,10 @@ impl PreparedGraph {
             });
         }
 
+        let ragged = nodes
+            .iter()
+            .zip(nodes.iter().skip(1))
+            .any(|(a, b)| a.features.len() != b.features.len());
         Self {
             n,
             adj_norm,
@@ -189,7 +209,7 @@ impl PreparedGraph {
             by_type,
             metapath_ops,
             label: g.label.map(|l| l.class()),
-            is_hetero: g.is_heterogeneous(),
+            is_hetero: platforms.len() > 1 || ragged,
         }
     }
 
@@ -284,7 +304,7 @@ pub mod tests_support {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use glint_graph::graph::{EdgeKind, Node};
+    use glint_graph::graph::{EdgeKind, GraphLabel};
     use glint_rules::RuleId;
 
     fn node(id: u32, platform: Platform, feats: Vec<f32>) -> Node {
@@ -392,5 +412,205 @@ mod tests {
         let p = PreparedGraph::from_graph(&homo_graph());
         assert_eq!(p.adj_sum.nnz(), 4); // 2 undirected edges
         assert!(p.adj_norm.is_symmetric(1e-6));
+    }
+
+    /// The deleted node's graph as the explainer used to build it: the
+    /// oracle `without_node` must match without building it.
+    fn remove_node(g: &InteractionGraph, drop: usize) -> InteractionGraph {
+        let remap = |i: usize| (i != drop).then(|| i - usize::from(i > drop));
+        let nodes = (0..g.n_nodes())
+            .filter(|&i| i != drop)
+            .map(|i| g.node(i).clone())
+            .collect();
+        let mut out = InteractionGraph::new(nodes);
+        for &(u, v, kind) in g.edges() {
+            if let (Some(nu), Some(nv)) = (remap(u), remap(v)) {
+                out.add_edge(nu, nv, kind);
+            }
+        }
+        out.label = g.label;
+        out
+    }
+
+    /// `(rows, cols, stored entries with value bits)`.
+    fn csr_bits(m: &Csr) -> (usize, usize, Vec<(usize, usize, u32)>) {
+        let entries = (0..m.rows())
+            .flat_map(|r| m.row_iter(r).map(move |(c, v)| (r, c, v.to_bits())))
+            .collect();
+        (m.rows(), m.cols(), entries)
+    }
+
+    /// Every field of a prepared graph, floats as bits.
+    fn fingerprint(p: &PreparedGraph) -> String {
+        let mut out = format!("n {} label {:?} hetero {}\n", p.n, p.label, p.is_hetero);
+        for m in [&p.adj_norm, &p.adj_row, &p.adj_sum] {
+            out += &format!("{:?}\n", csr_bits(m));
+        }
+        for b in &p.by_type {
+            let feats: Vec<u32> = b.feats.data().iter().map(|v| v.to_bits()).collect();
+            out += &format!(
+                "{:?} {:?} {:?} {feats:?} {:?}\n",
+                b.platform,
+                b.indices,
+                b.feats.shape(),
+                csr_bits(&b.select)
+            );
+        }
+        for op in &p.metapath_ops {
+            out += &format!(
+                "{:?} {:?} {:?}\n",
+                op.path,
+                csr_bits(&op.agg),
+                op.valid_rows
+            );
+        }
+        out
+    }
+
+    fn assert_every_deletion_matches(g: &InteractionGraph) {
+        for d in 0..g.n_nodes() {
+            assert_eq!(
+                fingerprint(&PreparedGraph::without_node(g, d)),
+                fingerprint(&PreparedGraph::from_graph(&remove_node(g, d))),
+                "dropping node {d} of {g:?}"
+            );
+        }
+    }
+
+    /// Node `i` takes platform `platforms[i]` and a feature width of its
+    /// platform.
+    fn typed_graph(platforms: &[Platform], edges: &[(usize, usize, EdgeKind)]) -> InteractionGraph {
+        let nodes = platforms
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                let dim = 2 + p.type_index();
+                node(
+                    i as u32,
+                    p,
+                    (0..dim).map(|d| (i * 5 + d) as f32 * 0.25 - 1.0).collect(),
+                )
+            })
+            .collect();
+        let mut g = InteractionGraph::new(nodes);
+        for &(u, v, kind) in edges {
+            g.add_edge(u, v, kind);
+        }
+        g
+    }
+
+    #[test]
+    fn without_node_matches_preparing_the_reduced_graph() {
+        use EdgeKind::{ActionCondition as Ac, ActionTrigger as At, SharedDevice as Sd};
+        use Platform::{Alexa, GoogleAssistant, HomeAssistant, Ifttt, SmartThings};
+        // node 3 is the only Alexa node and node 5 the only HomeAssistant
+        // one; node 2 carries a self loop, 0-1 runs both ways
+        let g = typed_graph(
+            &[
+                Ifttt,
+                SmartThings,
+                Ifttt,
+                Alexa,
+                SmartThings,
+                HomeAssistant,
+                GoogleAssistant,
+            ],
+            &[
+                (0, 1, At),
+                (1, 0, Ac),
+                (1, 2, At),
+                (2, 2, At),
+                (2, 3, Sd),
+                (3, 2, Sd),
+                (3, 4, At),
+                (4, 5, Ac),
+                (5, 6, At),
+                (6, 0, At),
+                (1, 4, Sd),
+            ],
+        )
+        .with_label(GraphLabel::Threat);
+        assert_every_deletion_matches(&g);
+        // a 2-node graph leaves one node of one type
+        assert_every_deletion_matches(&typed_graph(&[Ifttt, Alexa], &[(0, 1, At)]));
+        // a self loop on a node of its own platform, and an isolated node
+        assert_every_deletion_matches(&typed_graph(
+            &[Alexa, Ifttt, Ifttt],
+            &[(0, 0, At), (1, 0, Ac)],
+        ));
+        // a homogeneous chain
+        assert_every_deletion_matches(&homo_graph());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn without_node_matches_preparing_the_reduced_graph_on_random_graphs(
+            types in proptest::collection::vec(0usize..5, 2..9),
+            raw in proptest::collection::vec((0usize..9, 0usize..9), 0..14),
+        ) {
+            let platforms: Vec<Platform> = types.iter().map(|&t| Platform::all()[t]).collect();
+            let n = platforms.len();
+            let edges: Vec<(usize, usize, EdgeKind)> = raw
+                .iter()
+                .map(|&(u, v)| (u % n, v % n, EdgeKind::ActionTrigger))
+                .collect();
+            assert_every_deletion_matches(&typed_graph(&platforms, &edges));
+        }
+    }
+
+    #[test]
+    fn without_node_rewires_edges() {
+        use EdgeKind::{ActionCondition as Ac, ActionTrigger as At, SharedDevice as Sd};
+        let chain = |n: usize| {
+            let platforms = vec![Platform::Ifttt; n];
+            let edges: Vec<_> = (1..n).map(|i| (i - 1, i, At)).collect();
+            typed_graph(&platforms, &edges)
+        };
+        // the kept nodes of `g`, wired with `edges` in the new numbering
+        let expect = |g: &InteractionGraph, drop: usize, edges: &[(usize, usize, EdgeKind)]| {
+            let nodes = (0..g.n_nodes())
+                .filter(|&i| i != drop)
+                .map(|i| g.node(i).clone())
+                .collect();
+            let mut r = InteractionGraph::new(nodes);
+            for &(u, v, kind) in edges {
+                r.add_edge(u, v, kind);
+            }
+            PreparedGraph::from_graph(&r)
+        };
+        // edges 0→1 and 1→2 vanish; 2→3 becomes 1→2 in the new indexing
+        let g = chain(4);
+        let r = PreparedGraph::without_node(&g, 1);
+        assert_eq!(r.n, 3);
+        assert_eq!(fingerprint(&r), fingerprint(&expect(&g, 1, &[(1, 2, At)])));
+
+        // a 5-chain plus back, skip and shared-device edges of every kind
+        let mut g = chain(5);
+        for (u, v, kind) in [(4, 0, Ac), (0, 2, Sd), (2, 0, Sd), (3, 1, Ac)] {
+            g.add_edge(u, v, kind);
+        }
+        // dropping the first, a middle and the last node
+        let expected = [
+            (0, vec![(0, 1, At), (1, 2, At), (2, 3, At), (2, 0, Ac)]),
+            (2, vec![(0, 1, At), (2, 3, At), (3, 0, Ac), (2, 1, Ac)]),
+            (
+                4,
+                vec![
+                    (0, 1, At),
+                    (1, 2, At),
+                    (2, 3, At),
+                    (0, 2, Sd),
+                    (2, 0, Sd),
+                    (3, 1, Ac),
+                ],
+            ),
+        ];
+        for (drop, edges) in expected {
+            assert_eq!(
+                fingerprint(&PreparedGraph::without_node(&g, drop)),
+                fingerprint(&expect(&g, drop, &edges)),
+                "drop {drop}"
+            );
+        }
     }
 }

@@ -99,6 +99,13 @@ impl MetapathEncoder {
     /// homogeneous-type node embeddings (Algorithm 2 line 13's `G_m` features).
     pub fn forward<X: Exec>(&self, x: &mut X, g: &PreparedGraph) -> X::T {
         let h = self.project(x, g);
+        self.aggregate(x, g, h)
+    }
+
+    /// The structure-dependent rest of [`forward`](Self::forward):
+    /// intra-metapath averaging and inter-metapath fusion of `h`, the n ×
+    /// hidden output of [`project`](Self::project) for `g`.
+    pub(crate) fn aggregate<X: Exec>(&self, x: &mut X, g: &PreparedGraph, h: X::T) -> X::T {
         if self.disable_intra && self.disable_inter {
             // ablation "None": raw projected features only
             return h;

@@ -21,7 +21,7 @@ use crate::metapath::MetapathEncoder;
 use crate::models::{GraphModel, InferOutput, ModelOutput};
 use crate::vipool::VIPool;
 use glint_rules::Platform;
-use glint_tensor::{Exec, InferCtx, InferExec, ParamSet, Tape, TapeExec, Var};
+use glint_tensor::{Exec, InferCtx, InferExec, Matrix, ParamSet, Tape, TapeExec, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -146,8 +146,14 @@ impl Itgnn {
 
     /// The forward pass, on either executor.
     fn run<X: Exec>(&self, x: &mut X, g: &PreparedGraph) -> ModelOutput<X::T> {
+        let h = self.encoder.project(x, g);
+        self.run_projected(x, g, h)
+    }
+
+    /// The forward pass after the node-local metapath projection `h`.
+    fn run_projected<X: Exec>(&self, x: &mut X, g: &PreparedGraph, h: X::T) -> ModelOutput<X::T> {
         // 1. metapath-based node transformation → homogeneous-type graph
-        let mut h = self.encoder.forward(x, g);
+        let mut h = self.encoder.aggregate(x, g, h);
         let mut adj_norm = g.adj_norm.clone();
         let mut adj_row = g.adj_row.clone();
 
@@ -221,8 +227,33 @@ impl GraphModel for Itgnn {
         self.run(&mut TapeExec::new(tape, vars), g)
     }
 
+    /// The projection `project_infer` returns, then
+    /// `forward_infer_projected`: serving and the explainer share one body.
     fn forward_infer(&self, ctx: &mut InferCtx, g: &PreparedGraph) -> InferOutput {
-        self.run(&mut InferExec::new(ctx, &self.params), g).into()
+        let h = self
+            .encoder
+            .project(&mut InferExec::new(ctx, &self.params), g);
+        self.forward_infer_projected(ctx, g, h)
+    }
+
+    /// The per-platform projection: each row is its node's feature row
+    /// times its platform's weight, scattered from +0.0, so it depends on
+    /// that node alone.
+    fn project_infer(&self, ctx: &mut InferCtx, g: &PreparedGraph) -> Option<Matrix> {
+        Some(
+            self.encoder
+                .project(&mut InferExec::new(ctx, &self.params), g),
+        )
+    }
+
+    fn forward_infer_projected(
+        &self,
+        ctx: &mut InferCtx,
+        g: &PreparedGraph,
+        h: Matrix,
+    ) -> InferOutput {
+        self.run_projected(&mut InferExec::new(ctx, &self.params), g, h)
+            .into()
     }
 }
 

@@ -75,6 +75,31 @@ pub trait GraphModel: Send + Sync {
     /// pooled [`InferCtx`] kernels, bitwise-identical to [`forward`]
     /// (property-tested in `tests/infer_equiv.rs`).
     fn forward_infer(&self, ctx: &mut InferCtx, g: &PreparedGraph) -> InferOutput;
+
+    /// The node-local first stage of [`forward_infer`](Self::forward_infer),
+    /// for a model that has one: a matrix whose row `i` depends only on
+    /// node `i`'s features. The rows of a subgraph are then the subgraph's
+    /// rows of this matrix, so a caller scoring many subgraphs of one graph
+    /// (the explainer's deletions) computes them once. `None`, the
+    /// default, means the model has no such stage.
+    fn project_infer(&self, _ctx: &mut InferCtx, _g: &PreparedGraph) -> Option<Matrix> {
+        None
+    }
+
+    /// [`forward_infer`](Self::forward_infer) of `g` given `h`, the rows
+    /// [`project_infer`](Self::project_infer) returns for `g` (gathered
+    /// from a larger graph's projection when `g` is a subgraph of it).
+    /// Bitwise-identical to `forward_infer(g)`. The default releases `h`
+    /// and runs `forward_infer`.
+    fn forward_infer_projected(
+        &self,
+        ctx: &mut InferCtx,
+        g: &PreparedGraph,
+        h: Matrix,
+    ) -> InferOutput {
+        ctx.release(h);
+        self.forward_infer(ctx, g)
+    }
 }
 
 /// The shared head of the baselines: graph embedding `tanh(fuse(red))` and

@@ -3,13 +3,13 @@
 
 use crate::batch::PreparedGraph;
 use crate::loss::{eq2_total, sample_pairs};
-use crate::models::GraphModel;
+use crate::models::{GraphModel, InferOutput};
 use glint_ml::metrics::BinaryMetrics;
 use glint_tensor::checkpoint::{
     load_checkpoint, save_checkpoint, CheckpointError, TrainCheckpoint,
 };
 use glint_tensor::tape::Grads;
-use glint_tensor::{par, Adam, Matrix, Optimizer, ParamMismatch, Tape, Var};
+use glint_tensor::{par, Adam, InferCtx, Matrix, Optimizer, ParamMismatch, Tape, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -356,13 +356,19 @@ impl ClassifierTrainer {
     pub fn predict_proba(model: &dyn GraphModel, g: &PreparedGraph) -> f32 {
         glint_tensor::infer::with_ctx(|ctx| {
             let out = model.forward_infer(ctx, g);
-            let mut logits = out.logits;
-            logits.softmax_rows_inplace();
-            let p = logits.get(0, 1);
-            ctx.release(out.embedding);
-            ctx.release(logits);
-            p
+            Self::threat_probability(ctx, out)
         })
+    }
+
+    /// The threat-class probability of one tape-free forward's output; its
+    /// buffers go back to `ctx`.
+    pub fn threat_probability(ctx: &mut InferCtx, out: InferOutput) -> f32 {
+        let mut logits = out.logits;
+        logits.softmax_rows_inplace();
+        let p = logits.get(0, 1);
+        ctx.release(out.embedding);
+        ctx.release(logits);
+        p
     }
 
     /// Evaluate on labeled graphs with the paper's weighted-F1 convention.

@@ -238,6 +238,54 @@ proptest! {
         }
     }
 
+    /// The explainer's path: project the whole graph once, then score each
+    /// deletion from the kept rows of that projection. Every deletion must
+    /// give the bits of a plain forward over the reduced graph, on every
+    /// ablation axis and with the sole node of a platform deleted.
+    #[test]
+    fn projected_deletions_are_bitwise_identical(
+        g in graph_strategy(&[Platform::Ifttt, Platform::SmartThings])
+    ) {
+        let base = PreparedGraph::from_graph(&g);
+        let types = [(Platform::Ifttt, DIM), (Platform::SmartThings, DIM)];
+        let n = g.n_nodes();
+        for (axis, cfg) in ablation_axes().into_iter().chain([("default", itgnn_cfg())]) {
+            let model = Itgnn::new(&types, cfg);
+            let mut ctx = InferCtx::new();
+            let h = model
+                .project_infer(&mut ctx, &base)
+                .expect("ITGNN has a node-local stage");
+            for drop in 0..n {
+                let reduced = PreparedGraph::without_node(&g, drop);
+                let keep: Vec<usize> = (0..n).filter(|&i| i != drop).collect();
+                let rows = ctx.gather_rows(&h, &keep);
+                let out = model.forward_infer_projected(&mut ctx, &reduced, rows);
+                let got = (
+                    out.embedding.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    out.logits.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                );
+                prop_assert_eq!(got, infer_bits(&model, &reduced), "{} drop {}", axis, drop);
+            }
+        }
+    }
+
+    /// A model without a node-local stage takes the default hooks: no
+    /// projection, and `forward_infer_projected` is `forward_infer`.
+    #[test]
+    fn default_hooks_fall_back_to_forward_infer(g in graph_strategy(&[Platform::Ifttt])) {
+        let p = PreparedGraph::from_graph(&g);
+        let model = GcnModel::new(DIM, ModelConfig { hidden: 8, embed: 8, seed: 4 });
+        let mut ctx = InferCtx::new();
+        prop_assert!(model.project_infer(&mut ctx, &p).is_none());
+        let unused = ctx.acquire(p.n, 8);
+        let out = model.forward_infer_projected(&mut ctx, &p, unused);
+        let got = (
+            out.embedding.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            out.logits.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        );
+        prop_assert_eq!(got, infer_bits(&model, &p));
+    }
+
     /// The serving wrapper itself: `predict` (tape-free) agrees with the
     /// tape argmax on every graph.
     #[test]

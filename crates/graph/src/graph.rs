@@ -143,11 +143,6 @@ impl InteractionGraph {
         &self.edges
     }
 
-    /// Undirected edge list (for GCN-style symmetric propagation).
-    pub fn undirected_edges(&self) -> Vec<(usize, usize)> {
-        self.edges.iter().map(|&(u, v, _)| (u, v)).collect()
-    }
-
     /// Out-neighbours of a node.
     pub fn successors(&self, u: usize) -> Vec<usize> {
         self.edges

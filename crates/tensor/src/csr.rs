@@ -21,20 +21,37 @@ pub struct Csr {
 
 impl Csr {
     /// Build from (row, col, value) triplets. Duplicate coordinates are summed.
+    ///
+    /// The entries are counted per row and scattered into one buffer in
+    /// input order. Each row's slice is then sorted by column and its
+    /// duplicates are summed in sorted order.
     pub fn from_triplets(rows: usize, cols: usize, triplets: &[(usize, usize, f32)]) -> Self {
-        let mut per_row: Vec<Vec<(usize, f32)>> = vec![Vec::new(); rows];
-        for &(r, c, v) in triplets {
+        let mut indptr = vec![0usize; rows + 1];
+        for &(r, c, _) in triplets {
             assert!(
                 r < rows && c < cols,
                 "triplet ({r},{c}) out of {rows}x{cols}"
             );
-            per_row[r].push((c, v));
+            indptr[r + 1] += 1;
         }
-        let mut indptr = Vec::with_capacity(rows + 1);
+        for r in 0..rows {
+            indptr[r + 1] += indptr[r];
+        }
+        // `indptr[r]` is row r's write cursor; after the scatter it holds
+        // the end of row r, so shifting it one slot right restores the starts
+        let mut entries = vec![(0usize, 0.0f32); triplets.len()];
+        for &(r, c, v) in triplets {
+            entries[indptr[r]] = (c, v);
+            indptr[r] += 1;
+        }
+        indptr.copy_within(0..rows, 1);
+        indptr[0] = 0;
         let mut indices = Vec::with_capacity(triplets.len());
         let mut values = Vec::with_capacity(triplets.len());
-        indptr.push(0);
-        for row in &mut per_row {
+        let mut start = 0;
+        for r in 0..rows {
+            let end = indptr[r + 1];
+            let row = &mut entries[start..end];
             row.sort_unstable_by_key(|&(c, _)| c);
             let mut last: Option<usize> = None;
             for &(c, v) in row.iter() {
@@ -48,7 +65,8 @@ impl Csr {
                     last = Some(c);
                 }
             }
-            indptr.push(indices.len());
+            indptr[r + 1] = indices.len();
+            start = end;
         }
         Self {
             rows,
@@ -104,60 +122,48 @@ impl Csr {
     /// `edges` are directed pairs; the adjacency is symmetrized first, as in
     /// the paper's graph classification setting.
     pub fn normalized_adjacency(n: usize, edges: &[(usize, usize)]) -> Self {
-        let mut triplets: Vec<(usize, usize, f32)> = Vec::with_capacity(edges.len() * 2 + n);
-        let mut seen = std::collections::BTreeSet::new();
-        for &(u, v) in edges {
-            assert!(u < n && v < n, "edge ({u},{v}) out of bounds for {n} nodes");
-            if seen.insert((u, v)) {
-                triplets.push((u, v, 1.0));
-            }
-            if u != v && seen.insert((v, u)) {
-                triplets.push((v, u, 1.0));
-            }
+        let mut triplets = unit_pattern(n, edges, Loops::All);
+        // the pattern is symmetric and sorted: its last row is its largest
+        // coordinate
+        if let Some(&(r, c, _)) = triplets.last() {
+            assert!(r < n, "edge ({r},{c}) out of bounds for {n} nodes");
         }
-        for i in 0..n {
-            if seen.insert((i, i)) {
-                triplets.push((i, i, 1.0));
-            }
-        }
+        // every stored entry is 1.0, so a degree is an exact count; the
+        // buffer then holds D^{-1/2}
         let mut deg = vec![0.0f32; n];
         for &(r, _, v) in &triplets {
             deg[r] += v;
         }
-        let inv_sqrt: Vec<f32> = deg
-            .iter()
-            .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-            .collect();
-        let norm: Vec<(usize, usize, f32)> = triplets
-            .into_iter()
-            .map(|(r, c, v)| (r, c, v * inv_sqrt[r] * inv_sqrt[c]))
-            .collect();
-        Self::from_triplets(n, n, &norm)
+        for d in &mut deg {
+            *d = if *d > 0.0 { 1.0 / d.sqrt() } else { 0.0 };
+        }
+        for t in &mut triplets {
+            t.2 = t.2 * deg[t.0] * deg[t.1];
+        }
+        Self::from_triplets(n, n, &triplets)
     }
 
     /// Row-normalized adjacency `D^{-1} A` (no self loops added), used by
     /// mean-neighbourhood aggregators.
     pub fn row_normalized(n: usize, edges: &[(usize, usize)]) -> Self {
-        let mut triplets: Vec<(usize, usize, f32)> = Vec::new();
-        let mut seen = std::collections::BTreeSet::new();
-        for &(u, v) in edges {
-            assert!(u < n && v < n);
-            if seen.insert((u, v)) {
-                triplets.push((u, v, 1.0));
-            }
-            if u != v && seen.insert((v, u)) {
-                triplets.push((v, u, 1.0));
-            }
+        let mut triplets = unit_pattern(n, edges, Loops::Edges);
+        if let Some(&(r, c, _)) = triplets.last() {
+            assert!(r < n, "edge ({r},{c}) out of bounds for {n} nodes");
         }
         let mut deg = vec![0.0f32; n];
         for &(r, _, _) in &triplets {
             deg[r] += 1.0;
         }
-        let norm: Vec<(usize, usize, f32)> = triplets
-            .into_iter()
-            .map(|(r, c, v)| (r, c, v / deg[r].max(1.0)))
-            .collect();
-        Self::from_triplets(n, n, &norm)
+        for t in &mut triplets {
+            t.2 /= deg[t.0].max(1.0);
+        }
+        Self::from_triplets(n, n, &triplets)
+    }
+
+    /// Unnormalized symmetric 0/1 adjacency without self loops (GIN sum
+    /// aggregation): a self-loop edge is dropped.
+    pub fn symmetric_adjacency(n: usize, edges: &[(usize, usize)]) -> Self {
+        Self::from_triplets(n, n, &unit_pattern(n, edges, Loops::Dropped))
     }
 
     pub fn rows(&self) -> usize {
@@ -337,9 +343,239 @@ impl Csr {
     }
 }
 
+/// Which self loops [`unit_pattern`] stores.
+#[derive(Copy, Clone, PartialEq)]
+enum Loops {
+    /// `(i, i)` for every node, on top of the edges' own.
+    All,
+    /// `(u, u)` once for each self-loop edge `(u, u)`.
+    Edges,
+    /// None: self-loop edges are dropped.
+    Dropped,
+}
+
+/// The symmetric 0/1 pattern of `edges` on `n` nodes, as 1.0-valued
+/// triplets sorted row-major: both directions of every edge, once each, and
+/// the self loops `loops` asks for. No coordinate repeats, so a row's
+/// entry count is its degree.
+fn unit_pattern(n: usize, edges: &[(usize, usize)], loops: Loops) -> Vec<(usize, usize, f32)> {
+    let mut pattern = Vec::with_capacity(2 * edges.len() + n);
+    for &(u, v) in edges {
+        if u != v || loops != Loops::Dropped {
+            pattern.push((u, v, 1.0));
+            pattern.push((v, u, 1.0));
+        }
+    }
+    if loops == Loops::All {
+        pattern.extend((0..n).map(|i| (i, i, 1.0)));
+    }
+    pattern.sort_unstable_by_key(|&(r, c, _)| (r, c));
+    pattern.dedup_by_key(|&mut (r, c, _)| (r, c));
+    pattern
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `from_triplets` as it was with one `Vec` per row: the oracle for the
+    /// scatter-buffer version.
+    fn reference_from_triplets(rows: usize, cols: usize, triplets: &[(usize, usize, f32)]) -> Csr {
+        let mut per_row: Vec<Vec<(usize, f32)>> = vec![Vec::new(); rows];
+        for &(r, c, v) in triplets {
+            assert!(r < rows && c < cols);
+            per_row[r].push((c, v));
+        }
+        let mut indptr = vec![0];
+        let mut indices = Vec::new();
+        let mut values: Vec<f32> = Vec::new();
+        for row in &mut per_row {
+            row.sort_unstable_by_key(|&(c, _)| c);
+            let mut last: Option<usize> = None;
+            for &(c, v) in row.iter() {
+                if last == Some(c) {
+                    if let Some(tail) = values.last_mut() {
+                        *tail += v;
+                    }
+                } else {
+                    indices.push(c);
+                    values.push(v);
+                    last = Some(c);
+                }
+            }
+            indptr.push(indices.len());
+        }
+        Csr {
+            rows,
+            cols,
+            indptr,
+            indices,
+            values,
+        }
+    }
+
+    /// The first-seen, set-deduplicated triplets the adjacency builders
+    /// used to collect: both directions of each edge, self loops
+    /// (`with_loops`) and self-loop edges (`loop_edges`) as asked.
+    fn reference_pattern(
+        n: usize,
+        edges: &[(usize, usize)],
+        loop_edges: bool,
+        with_loops: bool,
+    ) -> Vec<(usize, usize, f32)> {
+        let mut triplets = Vec::new();
+        let mut seen = std::collections::BTreeSet::new();
+        for &(u, v) in edges {
+            if (u != v || loop_edges) && seen.insert((u, v)) {
+                triplets.push((u, v, 1.0));
+            }
+            if u != v && seen.insert((v, u)) {
+                triplets.push((v, u, 1.0));
+            }
+        }
+        if with_loops {
+            for i in 0..n {
+                if seen.insert((i, i)) {
+                    triplets.push((i, i, 1.0));
+                }
+            }
+        }
+        triplets
+    }
+
+    fn reference_normalized_adjacency(n: usize, edges: &[(usize, usize)]) -> Csr {
+        let triplets = reference_pattern(n, edges, true, true);
+        let mut deg = vec![0.0f32; n];
+        for &(r, _, v) in &triplets {
+            deg[r] += v;
+        }
+        let inv_sqrt: Vec<f32> = deg
+            .iter()
+            .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
+            .collect();
+        let norm: Vec<(usize, usize, f32)> = triplets
+            .into_iter()
+            .map(|(r, c, v)| (r, c, v * inv_sqrt[r] * inv_sqrt[c]))
+            .collect();
+        reference_from_triplets(n, n, &norm)
+    }
+
+    fn reference_row_normalized(n: usize, edges: &[(usize, usize)]) -> Csr {
+        let triplets = reference_pattern(n, edges, true, false);
+        let mut deg = vec![0.0f32; n];
+        for &(r, _, _) in &triplets {
+            deg[r] += 1.0;
+        }
+        let norm: Vec<(usize, usize, f32)> = triplets
+            .into_iter()
+            .map(|(r, c, v)| (r, c, v / deg[r].max(1.0)))
+            .collect();
+        reference_from_triplets(n, n, &norm)
+    }
+
+    fn reference_symmetric_adjacency(n: usize, edges: &[(usize, usize)]) -> Csr {
+        reference_from_triplets(n, n, &reference_pattern(n, edges, false, false))
+    }
+
+    /// Shape, layout and value bits.
+    fn bits(m: &Csr) -> (usize, usize, Vec<usize>, Vec<usize>, Vec<u32>) {
+        let values = m.values.iter().map(|v| v.to_bits()).collect();
+        (m.rows, m.cols, m.indptr.clone(), m.indices.clone(), values)
+    }
+
+    fn assert_builders_match(n: usize, edges: &[(usize, usize)]) {
+        assert_eq!(
+            bits(&Csr::normalized_adjacency(n, edges)),
+            bits(&reference_normalized_adjacency(n, edges)),
+            "normalized_adjacency {edges:?}"
+        );
+        assert_eq!(
+            bits(&Csr::row_normalized(n, edges)),
+            bits(&reference_row_normalized(n, edges)),
+            "row_normalized {edges:?}"
+        );
+        assert_eq!(
+            bits(&Csr::symmetric_adjacency(n, edges)),
+            bits(&reference_symmetric_adjacency(n, edges)),
+            "symmetric_adjacency {edges:?}"
+        );
+    }
+
+    /// Magnitudes far apart, so a different summation order of duplicate
+    /// coordinates changes the sum.
+    const VALUES: [f32; 6] = [1e8, -1e8, 1.0, -0.0, 0.5, 3.25];
+
+    #[test]
+    fn from_triplets_matches_reference_on_edge_shapes() {
+        type Triplets = Vec<(usize, usize, f32)>;
+        let cases: [(usize, usize, Triplets); 5] = [
+            (0, 0, vec![]),
+            (0, 3, vec![]),
+            (3, 0, vec![]),
+            (4, 3, vec![]),
+            // unsorted, duplicates with different values, rows 1 and 3 empty
+            (
+                5,
+                3,
+                vec![
+                    (2, 2, 1e8),
+                    (0, 1, 0.5),
+                    (2, 0, 1.0),
+                    (2, 2, 1.0),
+                    (0, 0, -0.0),
+                    (2, 2, -1e8),
+                    (4, 1, 3.25),
+                    (0, 1, -1e8),
+                ],
+            ),
+        ];
+        for (rows, cols, triplets) in cases {
+            let m = Csr::from_triplets(rows, cols, &triplets);
+            m.validate();
+            assert_eq!(
+                bits(&m),
+                bits(&reference_from_triplets(rows, cols, &triplets))
+            );
+        }
+    }
+
+    #[test]
+    fn adjacency_builders_match_reference_on_loops_repeats_and_reversals() {
+        assert_builders_match(1, &[]);
+        assert_builders_match(3, &[]);
+        assert_builders_match(1, &[(0, 0)]);
+        // node 4 isolated; 2 carries a self loop; 0-1 repeated and reversed
+        assert_builders_match(5, &[(0, 1), (1, 0), (0, 1), (2, 2), (3, 1), (1, 3), (2, 2)]);
+    }
+
+    proptest! {
+        #[test]
+        fn from_triplets_matches_reference(
+            rows in 0usize..6,
+            cols in 0usize..6,
+            raw in proptest::collection::vec((0usize..6, 0usize..6, 0usize..6), 0..24),
+        ) {
+            let triplets: Vec<(usize, usize, f32)> = if rows == 0 || cols == 0 {
+                Vec::new()
+            } else {
+                raw.iter().map(|&(r, c, v)| (r % rows, c % cols, VALUES[v])).collect()
+            };
+            prop_assert_eq!(
+                bits(&Csr::from_triplets(rows, cols, &triplets)),
+                bits(&reference_from_triplets(rows, cols, &triplets))
+            );
+        }
+
+        #[test]
+        fn adjacency_builders_match_reference(
+            n in 1usize..7,
+            raw in proptest::collection::vec((0usize..7, 0usize..7), 0..16),
+        ) {
+            let edges: Vec<(usize, usize)> = raw.iter().map(|&(u, v)| (u % n, v % n)).collect();
+            assert_builders_match(n, &edges);
+        }
+    }
 
     #[test]
     fn triplets_sum_duplicates_and_sort() {

@@ -158,7 +158,7 @@ impl<C: GraphModel, E: GraphModel> GlintDetector<C, E> {
             classifier,
             embedder,
             drift,
-            online: OnlineBuilder::default(),
+            online: OnlineBuilder,
             top_k_causes: 3,
         }
     }

@@ -65,7 +65,8 @@ fn node_importance_prepared(
                     Some(h) => {
                         keep.clear();
                         keep.extend((0..n).filter(|&i| i != drop));
-                        let rows = ctx.gather_rows(h, &keep);
+                        let mut rows = ctx.acquire(keep.len(), h.cols());
+                        h.gather_rows_into(&keep, &mut rows);
                         model.forward_infer_projected(ctx, &reduced, rows)
                     }
                     None => model.forward_infer(ctx, &reduced),

@@ -99,11 +99,8 @@ fn tmp_path(path: &Path) -> std::path::PathBuf {
     path.with_file_name(name)
 }
 
-/// Write `payload` as a durable envelope at `path`, atomically. `site` names
-/// the fail-point hit before and during the write (`Action::Err` aborts
-/// before touching the filesystem; `Action::ShortWrite(n)` writes `n` bytes
-/// of the temp file and aborts before the rename — the destination survives
-/// untouched either way).
+/// Write `payload` as a durable envelope at `path`, atomically, through
+/// [`write_atomic`] (which documents the fail-point `site`).
 pub fn write_durable(
     site: &str,
     path: impl AsRef<Path>,
@@ -124,7 +121,16 @@ pub fn write_durable(
     let mut bytes = Vec::with_capacity(header.len() + payload.len());
     bytes.extend_from_slice(header.as_bytes());
     bytes.extend_from_slice(payload);
+    write_atomic(site, path, &bytes)
+}
 
+/// Write `bytes` to `path` atomically: stream them to `<path>.glint-tmp`,
+/// fsync, and rename over `path`. `site` names the fail-point hit before
+/// and during the write (`Action::Err` aborts before touching the
+/// filesystem; `Action::ShortWrite(n)` writes `n` bytes of the temp file
+/// and aborts before the rename — the destination survives untouched
+/// either way).
+pub fn write_atomic(site: &str, path: &Path, bytes: &[u8]) -> Result<(), DurableError> {
     let fault = check(site);
     if fault == Some(Action::Err) {
         return Err(injected_error(site).into());
@@ -139,7 +145,7 @@ pub fn write_durable(
             file.sync_all()?;
             return Err(injected_error(site).into());
         }
-        file.write_all(&bytes)?;
+        file.write_all(bytes)?;
         file.sync_all()?;
         fs::rename(&tmp, path)?;
         Ok(())

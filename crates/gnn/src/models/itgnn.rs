@@ -24,6 +24,7 @@ use glint_rules::Platform;
 use glint_tensor::{Exec, InferCtx, InferExec, Matrix, ParamSet, Tape, TapeExec, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
 
 /// ITGNN hyper-parameters (the Figure 7 ablation axes).
 #[derive(Clone, Debug)]
@@ -154,8 +155,9 @@ impl Itgnn {
     fn run_projected<X: Exec>(&self, x: &mut X, g: &PreparedGraph, h: X::T) -> ModelOutput<X::T> {
         // 1. metapath-based node transformation → homogeneous-type graph
         let mut h = self.encoder.aggregate(x, g, h);
-        let mut adj_norm = g.adj_norm.clone();
-        let mut adj_row = g.adj_row.clone();
+        // the prepared graph's CSRs until the first pool hands back its own
+        let mut adj_norm = Cow::Borrowed(&g.adj_norm);
+        let mut adj_row = Cow::Borrowed(&g.adj_row);
 
         // 2. multi-scale generation + propagation
         let mut readouts: Option<X::T> = None;
@@ -171,8 +173,8 @@ impl Itgnn {
             if d + 1 < self.scales.len() {
                 let pooled = self.pools[d].forward(x, &adj_row, &h, (g.n + d) as u64);
                 x.release(std::mem::replace(&mut h, pooled.h));
-                adj_norm = pooled.adj_norm;
-                adj_row = pooled.adj_row;
+                adj_norm = Cow::Owned(pooled.adj_norm);
+                adj_row = Cow::Owned(pooled.adj_row);
                 pool_losses.extend(pooled.pool_loss);
             }
         }

@@ -9,7 +9,7 @@ use glint_tensor::checkpoint::{
     load_checkpoint, save_checkpoint, CheckpointError, TrainCheckpoint,
 };
 use glint_tensor::tape::Grads;
-use glint_tensor::{par, Adam, InferCtx, Matrix, Optimizer, ParamMismatch, Tape, Var};
+use glint_tensor::{par, Adam, InferCtx, Matrix, ParamMismatch, Tape, Var};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -29,11 +29,7 @@ pub struct TrainConfig {
     pub beta: f32,
     /// Contrastive margin ε in Eq. (1).
     pub margin: f32,
-    /// Pairs per epoch for contrastive training (default: dataset size).
-    pub pairs_per_epoch: Option<usize>,
     pub seed: u64,
-    /// Explicit class weights; inverse-frequency when None.
-    pub class_weights: Option<[f32; 2]>,
     /// Graphs (or pairs) per optimizer step. `1` reproduces classic
     /// per-sample SGD exactly; larger batches accumulate per-sample
     /// gradients — computed concurrently on worker threads — and reduce
@@ -49,9 +45,7 @@ impl Default for TrainConfig {
             lr: 3e-3,
             beta: 0.1,
             margin: 5.0,
-            pairs_per_epoch: None,
             seed: 0,
-            class_weights: None,
             batch_size: 1,
         }
     }
@@ -289,10 +283,7 @@ impl ClassifierTrainer {
             return Err(TrainError::EmptyTrainingSet);
         }
         let labels = labels_of(train);
-        let cw = self.config.class_weights.unwrap_or_else(|| {
-            let w = glint_ml::sampling::class_weights(&labels, 2);
-            [w[0], w[1]]
-        });
+        let cw = glint_ml::sampling::class_weights(&labels, 2);
         let batch = self.config.batch_size.max(1);
         let vars = canonical_vars(model);
         let mut state = EpochState::resume(self.config.lr, self.config.seed, model, policy)?;
@@ -422,7 +413,8 @@ impl ContrastiveTrainer {
             return Err(TrainError::EmptyTrainingSet);
         }
         let labels = labels_of(train);
-        let n_pairs = self.config.pairs_per_epoch.unwrap_or(train.len());
+        // one pair per training graph each epoch
+        let n_pairs = train.len();
         let batch = self.config.batch_size.max(1);
         let vars = canonical_vars(model);
         let mut state = EpochState::resume(self.config.lr, self.config.seed, model, policy)?;

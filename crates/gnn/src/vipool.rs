@@ -247,7 +247,6 @@ mod tests {
             let pool_loss = out.pool_loss.expect("recorded");
             let grads = tape.backward(pool_loss);
             losses.push(tape.value(pool_loss).get(0, 0));
-            use glint_tensor::Optimizer;
             opt.step(&mut params, &vars, &grads);
         }
         let first = losses[0];

@@ -258,7 +258,8 @@ proptest! {
             for drop in 0..n {
                 let reduced = PreparedGraph::without_node(&g, drop);
                 let keep: Vec<usize> = (0..n).filter(|&i| i != drop).collect();
-                let rows = ctx.gather_rows(&h, &keep);
+                let mut rows = ctx.acquire(keep.len(), h.cols());
+                h.gather_rows_into(&keep, &mut rows);
                 let out = model.forward_infer_projected(&mut ctx, &reduced, rows);
                 let got = (
                     out.embedding.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),

@@ -242,22 +242,16 @@ pub fn full_graph(rules: &[Rule], feature_fn: &dyn Fn(&Rule) -> Vec<f32>) -> Int
     assemble(nodes, |i, j| pairs.get(i)?.get(j))
 }
 
+/// The online builder's pruning interval: maximum seconds between cause
+/// and effect (paper example: 3 h).
+pub const MAX_GAP: f64 = 3.0 * 3600.0;
+
 /// Online builder: fuse the deployed-rule graph with runtime event logs to
 /// produce the unique real-time interaction graph (§3.2.2). Rules that did
 /// not execute inside the window are dropped; edges violating chronology or
-/// exceeding the pruning interval are removed.
-pub struct OnlineBuilder {
-    /// Maximum seconds between cause and effect (paper example: 3 h).
-    pub max_gap: f64,
-}
-
-impl Default for OnlineBuilder {
-    fn default() -> Self {
-        Self {
-            max_gap: 3.0 * 3600.0,
-        }
-    }
-}
+/// exceeding the pruning interval [`MAX_GAP`] are removed.
+#[derive(Default)]
+pub struct OnlineBuilder;
 
 impl OnlineBuilder {
     /// Execution timestamps of each rule inferred from the log: explicit
@@ -315,11 +309,11 @@ impl OnlineBuilder {
             .unzip();
         let nodes = rule_nodes(&active, feature_fn);
         let mut pairs = mine_pairs(&active);
-        // temporal pruning: cause must precede effect within max_gap
+        // temporal pruning: cause must precede effect within MAX_GAP
         let chronological = |tu: &[f64], tv: &[f64]| {
             tu.iter().any(|&a| {
                 tv.iter()
-                    .any(|&b| b > a && b - a <= self.max_gap && a >= from && b <= to)
+                    .any(|&b| b > a && b - a <= MAX_GAP && a >= from && b <= to)
             })
         };
         for (tu, row) in times.iter().zip(&mut pairs) {
@@ -400,7 +394,7 @@ mod tests {
         // rule 1 fires at t=100 (lights off), rule 9 fires at t=160 (locked)
         log.push(EventRecord::new(100.0, EventKind::RuleFired { rule_id: 1 }));
         log.push(EventRecord::new(160.0, EventKind::RuleFired { rule_id: 9 }));
-        let ob = OnlineBuilder::default();
+        let ob = OnlineBuilder;
         let g = ob.build(&rules, &log, 0.0, 1000.0, &feat);
         assert_eq!(g.n_nodes(), 2, "only executed rules stay");
         assert_eq!(g.n_edges(), 1, "1→9 survives chronology check");
@@ -423,7 +417,7 @@ mod tests {
             5.0 * 3600.0,
             EventKind::RuleFired { rule_id: 9 },
         ));
-        let g = OnlineBuilder::default().build(&rules, &log, 0.0, 1e9, &feat);
+        let g = OnlineBuilder.build(&rules, &log, 0.0, 1e9, &feat);
         assert_eq!(
             g.n_edges(),
             0,

@@ -19,11 +19,9 @@
 
 use crate::dataset::GraphDataset;
 use glint_failpoint::durable::{self, DurableError};
-use glint_failpoint::{check, injected_error, Action};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Envelope kind tag for shard payloads.
@@ -181,36 +179,6 @@ fn shard_file_name(home: u64) -> String {
     format!("shard-{home}.glint")
 }
 
-/// Atomic bare-file write (temp + fsync + rename) with fail-point support —
-/// the manifest's equivalent of the envelope writer. `Action::Err` aborts
-/// before touching the filesystem; `Action::ShortWrite(n)` tears the temp
-/// file and aborts before the rename, so the destination survives.
-fn atomic_write_bare(site: &str, path: &Path, bytes: &[u8]) -> Result<(), ShardError> {
-    let fault = check(site);
-    if fault == Some(Action::Err) {
-        return Err(injected_error(site).into());
-    }
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".glint-tmp");
-    let tmp = path.with_file_name(name);
-    let result = (|| -> Result<(), ShardError> {
-        let mut file = std::fs::File::create(&tmp)?;
-        if let Some(Action::ShortWrite(n)) = fault {
-            file.write_all(&bytes[..n.min(bytes.len())])?;
-            file.sync_all()?;
-            return Err(injected_error(site).into());
-        }
-        file.write_all(bytes)?;
-        file.sync_all()?;
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    })();
-    if result.is_err() && fault.is_none() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
-}
-
 /// A directory of per-home graph shards with a manifest.
 #[derive(Debug)]
 pub struct ShardedStore {
@@ -295,7 +263,10 @@ impl ShardedStore {
     fn write_manifest(&self, site: &str) -> Result<(), ShardError> {
         let json = serde_json::to_string(&self.manifest)
             .map_err(|e| ShardError::Decode(format!("serialize manifest: {e}")))?;
-        atomic_write_bare(site, &self.dir.join(MANIFEST_FILE), json.as_bytes())
+        // the manifest is a bare JSON file: the envelope's atomic write
+        // without its header
+        durable::write_atomic(site, &self.dir.join(MANIFEST_FILE), json.as_bytes())?;
+        Ok(())
     }
 
     /// Write (or replace) one home's shard, then update the manifest. Both

@@ -2,7 +2,7 @@
 //! class-weighted cross-entropy (the Figure 6 "MLP").
 
 use crate::Classifier;
-use glint_tensor::{init, Adam, Matrix, Optimizer, ParamSet, Tape};
+use glint_tensor::{init, Adam, Matrix, ParamSet, Tape};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -174,6 +174,10 @@ impl Csr {
         self.cols
     }
 
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
     /// Number of stored entries.
     pub fn nnz(&self) -> usize {
         self.values.len()

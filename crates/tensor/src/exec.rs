@@ -3,8 +3,9 @@
 //! Every GNN layer and model writes its forward pass once, generic over
 //! [`Exec`]. Training runs the body on a [`TapeExec`], which records each
 //! op on an autograd [`Tape`]; serving runs the same body on an
-//! [`InferExec`], which computes the values with [`InferCtx`]'s pooled,
-//! in-place and fused kernels and builds no tape.
+//! [`InferExec`], which computes the values into buffers from an
+//! [`InferCtx`] pool, in place where the signature allows, and builds no
+//! tape.
 //!
 //! Buffer discipline lives in the signatures. An op that borrows its
 //! operands writes a fresh activation (a pooled buffer when serving). An op
@@ -16,25 +17,30 @@
 //! the acquire/release sequence it spells out, and the tape through exactly
 //! the op sequence it spells out.
 //!
-//! The two executors agree bit for bit. Products go through the same
-//! `par` entry points on both sides, and every fused or in-place kernel
-//! applies the same f32 operations per element as the tape ops it stands
-//! for (see [`crate::infer`]); `crates/gnn/tests/infer_equiv.rs`
-//! property-tests every model. Weights are addressed by [`ParamId`]: the
-//! tape reads the var bound for it this pass, inference reads the
-//! [`ParamSet`] directly.
+//! The two executors agree bit for bit because they run the same kernels.
+//! Products go through `par::{matmul_into, spmm_into}` on both sides. Every
+//! other op has one body on [`Matrix`] that both sides call: the tape's op
+//! allocates its output (`mean_rows`, `gather_rows`, …) where `InferExec`
+//! takes a pooled buffer (`mean_rows_into`, `gather_rows_into`, …) or
+//! works in place (`softmax_rows_inplace`, `add_bias_act`). The ReLU and
+//! sigmoid formulas are spelled once, in `matrix`.
+//! `crates/gnn/tests/infer_equiv.rs` property-tests every model. Weights
+//! are addressed by [`ParamId`]: the tape reads the var bound for it this
+//! pass, inference reads the [`ParamSet`] directly.
 //!
 //! Terms that only training consumes (VIPool's infomax loss, InfoGraph's
 //! mutual-information loss) are recorded through [`Exec::train_only`] at
 //! their place in the pass; inference skips them.
 //!
-//! The executors' methods are `#[inline]`: each only forwards to one tape
-//! op or pooled kernel, and the generic bodies that call them are
-//! instantiated in other crates, where a non-inline method stays an extra
-//! call. Without the attribute the benchmark's `fleet_churn` workload (graphs
-//! of 1-8 nodes, where per-op overhead shows) ran 15-80% slower at p50.
+//! The executors' methods are `#[inline]`: each only records one tape op
+//! or runs one kernel on a pooled buffer, and the generic bodies that call
+//! them are instantiated in other crates, where a non-inline method stays
+//! an extra call. Without the attribute the benchmark's `fleet_churn`
+//! workload (graphs of 1-8 nodes, where per-op overhead shows) ran 15-80%
+//! slower at p50.
 
 use crate::infer::InferCtx;
+use crate::matrix::{relu, sigmoid};
 use crate::{Csr, Matrix, ParamId, ParamSet, Tape, Var};
 
 /// The op set of the GNN forward passes.
@@ -314,8 +320,8 @@ impl Exec for TapeExec<'_> {
     }
 }
 
-/// Serving executor: [`InferCtx`]'s pooled kernels over a model's
-/// parameters, no tape.
+/// Serving executor: the tape's kernels on [`InferCtx`]'s pooled buffers,
+/// over a model's parameters, no tape.
 pub struct InferExec<'a> {
     ctx: &'a mut InferCtx,
     params: &'a ParamSet,
@@ -325,6 +331,15 @@ impl<'a> InferExec<'a> {
     #[inline]
     pub fn new(ctx: &'a mut InferCtx, params: &'a ParamSet) -> Self {
         Self { ctx, params }
+    }
+
+    /// `act(x × w + b)`: the product in a pooled buffer, then the bias add
+    /// and `act` fused into one pass over it.
+    #[inline]
+    fn affine(&mut self, x: &Matrix, w: ParamId, b: ParamId, act: impl Fn(f32) -> f32) -> Matrix {
+        let mut out = self.ctx.matmul(x, self.params.get(w));
+        out.add_bias_act(self.params.get(b), act);
+        out
     }
 }
 
@@ -381,24 +396,22 @@ impl Exec for InferExec<'_> {
 
     #[inline]
     fn linear(&mut self, x: &Matrix, w: ParamId, b: ParamId) -> Matrix {
-        self.ctx.linear(x, self.params.get(w), self.params.get(b))
+        self.affine(x, w, b, |v| v)
     }
 
     #[inline]
     fn linear_relu(&mut self, x: &Matrix, w: ParamId, b: ParamId) -> Matrix {
-        self.ctx
-            .linear_relu(x, self.params.get(w), self.params.get(b))
+        self.affine(x, w, b, relu)
     }
 
     #[inline]
     fn linear_sigmoid(&mut self, x: &Matrix, w: ParamId, b: ParamId) -> Matrix {
-        self.ctx
-            .linear_sigmoid(x, self.params.get(w), self.params.get(b))
+        self.affine(x, w, b, sigmoid)
     }
 
     #[inline]
     fn add_bias(&mut self, mut x: Matrix, b: ParamId) -> Matrix {
-        x.add_row_broadcast_inplace(self.params.get(b));
+        x.add_bias_act(self.params.get(b), |v| v);
         x
     }
 
@@ -442,18 +455,21 @@ impl Exec for InferExec<'_> {
 
     #[inline]
     fn weighted_sum(&mut self, hs: &[Matrix], w: &Matrix) -> Matrix {
-        self.ctx.weighted_sum(hs, w)
+        let (rows, cols) = hs[0].shape();
+        let mut out = self.ctx.acquire(rows, cols);
+        out.add_weighted(hs.iter(), w);
+        out
     }
 
     #[inline]
     fn relu(&mut self, mut a: Matrix) -> Matrix {
-        a.map_inplace(|x| x.max(0.0));
+        a.map_inplace(relu);
         a
     }
 
     #[inline]
     fn sigmoid(&mut self, mut a: Matrix) -> Matrix {
-        a.map_inplace(|x| 1.0 / (1.0 + (-x).exp()));
+        a.map_inplace(sigmoid);
         a
     }
 
@@ -471,27 +487,37 @@ impl Exec for InferExec<'_> {
 
     #[inline]
     fn mean_rows(&mut self, a: &Matrix) -> Matrix {
-        self.ctx.mean_rows(a)
+        let mut out = self.ctx.acquire(1, a.cols());
+        a.mean_rows_into(&mut out);
+        out
     }
 
     #[inline]
     fn max_rows(&mut self, a: &Matrix) -> Matrix {
-        self.ctx.max_rows(a)
+        let mut out = self.ctx.filled(1, a.cols(), f32::NEG_INFINITY);
+        a.max_rows_into(&mut out, |_, _| {});
+        out
     }
 
     #[inline]
     fn sum_rows(&mut self, a: &Matrix) -> Matrix {
-        self.ctx.sum_rows(a)
+        let mut out = self.ctx.acquire(1, a.cols());
+        a.sum_rows_into(&mut out);
+        out
     }
 
     #[inline]
     fn concat_cols(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
-        self.ctx.concat_cols(a, b)
+        let mut out = self.ctx.acquire(a.rows(), a.cols() + b.cols());
+        a.concat_cols_into(b, &mut out);
+        out
     }
 
     #[inline]
     fn gather_rows(&mut self, a: &Matrix, idx: &[usize]) -> Matrix {
-        self.ctx.gather_rows(a, idx)
+        let mut out = self.ctx.acquire(idx.len(), a.cols());
+        a.gather_rows_into(idx, &mut out);
+        out
     }
 
     /// One pooled `1 × n` buffer filled left to right: the layout of the

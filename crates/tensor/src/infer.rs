@@ -1,38 +1,33 @@
-//! Tape-free forward-only execution with pooled activation buffers.
+//! Pooled activation buffers for tape-free, forward-only execution.
 //!
 //! Training needs the autograd tape: every op records its value and a
 //! backward closure, and every intermediate activation must stay alive
 //! until `backward` runs. Serving needs none of that — `BENCH_trace.json`
 //! showed the detector paying the full tape price per assessment (~29.8k
 //! matrix allocations / 2.28M elements over a 105-step run) just to throw
-//! the tape away. This module is the serving-side substrate:
+//! the tape away. This module is the serving side's memory:
 //!
 //! - [`BufferPool`] — a free list of activation buffers. Acquiring a matrix
 //!   reuses a previously released buffer when one is large enough
 //!   (re-zeroed, so a kernel that accumulates into it sees exactly the
 //!   state a fresh `Matrix::zeros` would give it); only a miss
 //!   allocates, and only a miss ticks the `tensor.alloc.*` counters.
-//! - [`InferCtx`] — the pool plus forward kernels mirroring the tape op
-//!   set. Products go through `par::{matmul_into, spmm_into}`, which share
-//!   the dispatch thresholds, the `GLINT_THREADS` fan-out and the exact
-//!   `*_block` kernels of the tape path — results are **bitwise
-//!   identical** to a tape forward at any thread count (property-tested in
+//! - [`InferCtx`] — the pool a tape-free forward pass draws from. Its
+//!   products only take a pooled buffer and fill it through
+//!   `par::{matmul_into, spmm_into}`, the primitives behind the tape's
+//!   products, so results are **bitwise identical** to a tape forward at
+//!   any thread count (property-tested in
 //!   `crates/gnn/tests/infer_equiv.rs`).
-//! - Fused affine+activation kernels ([`InferCtx::linear_relu`],
-//!   [`InferCtx::linear_sigmoid`]): the bias add and the activation are
-//!   applied in one pass over the product buffer. Fusion here is
-//!   *element-wise only* — each output element sees the same sequence of
-//!   f32 operations as the unfused tape ops, so bitwise equivalence
-//!   survives. Matmul/spmm accumulation is never fused into an existing
-//!   accumulator (that would reorder the floating-point reduction).
 //! - [`with_ctx`] — a thread-local context. Repeated assessments on a
 //!   persistent thread reach a steady state where the pool serves every
 //!   activation and the serving path stops allocating matrices entirely.
 //!
-//! The layers never call these kernels directly: they are written once
-//! against [`crate::exec::Exec`], and [`crate::exec::InferExec`] maps each
-//! op onto a kernel here (in-place element-wise ops included). The tape
-//! stays authoritative for training; this module only computes values.
+//! No op is written here. The layers are written once against
+//! [`crate::exec::Exec`], and [`crate::exec::InferExec`] runs each op as a
+//! pooled buffer plus the one kernel the tape's op runs too: the `*_into`
+//! readouts and shape ops on [`Matrix`], the in-place softmax, and the
+//! bias add with its activation fused in (`Matrix::add_bias_act`). The tape
+//! stays authoritative for training; this module only supplies memory.
 
 use crate::{Csr, Matrix};
 use std::cell::RefCell;
@@ -86,9 +81,8 @@ impl BufferPool {
     }
 }
 
-/// Forward-only execution context: a [`BufferPool`] plus the tape op set
-/// re-expressed as pooled/in-place kernels. Every method documents which
-/// tape op it mirrors; the arithmetic is identical element for element.
+/// Forward-only execution context: the [`BufferPool`] a tape-free forward
+/// pass takes its activations from and hands them back to.
 #[derive(Default)]
 pub struct InferCtx {
     pool: BufferPool,
@@ -108,12 +102,10 @@ impl InferCtx {
         self.pool.acquire(rows, cols)
     }
 
-    /// Pooled matrix filled with a constant (mirrors `Matrix::full`).
+    /// Pooled matrix filled with a constant (the pooled `Matrix::full`).
     pub fn filled(&mut self, rows: usize, cols: usize, value: f32) -> Matrix {
         let mut m = self.pool.acquire(rows, cols);
-        for x in m.data_mut() {
-            *x = value;
-        }
+        m.data_mut().fill(value);
         m
     }
 
@@ -121,8 +113,6 @@ impl InferCtx {
     pub fn release(&mut self, m: Matrix) {
         self.pool.release(m);
     }
-
-    // ---- products (mirror `Tape::matmul` / `Tape::spmm`) ----
 
     /// `a × b` into a pooled buffer via [`crate::par::matmul_into`].
     pub fn matmul(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
@@ -136,125 +126,6 @@ impl InferCtx {
         let mut out = self.pool.acquire(adj.rows(), h.cols());
         crate::par::spmm_into(adj, h, &mut out);
         out
-    }
-
-    // ---- fused affine (+ activation) kernels (mirror `Tape::linear`) ----
-
-    /// Affine layer `x × w + bias` — the bias broadcast is applied in place
-    /// on the product buffer (one pass, no `add_row_broadcast` copy).
-    pub fn linear(&mut self, x: &Matrix, w: &Matrix, bias: &Matrix) -> Matrix {
-        let mut out = self.matmul(x, w);
-        out.add_row_broadcast_inplace(bias);
-        out
-    }
-
-    /// Fused `relu(x × w + bias)`: bias add and activation in a single pass
-    /// over each product element — same f32 sequence as `linear` + `relu`.
-    pub fn linear_relu(&mut self, x: &Matrix, w: &Matrix, bias: &Matrix) -> Matrix {
-        let mut out = self.matmul(x, w);
-        fused_bias_act(&mut out, bias, |v| v.max(0.0));
-        out
-    }
-
-    /// Fused `sigmoid(x × w + bias)` — see [`linear_relu`](Self::linear_relu).
-    pub fn linear_sigmoid(&mut self, x: &Matrix, w: &Matrix, bias: &Matrix) -> Matrix {
-        let mut out = self.matmul(x, w);
-        fused_bias_act(&mut out, bias, |v| 1.0 / (1.0 + (-v).exp()));
-        out
-    }
-
-    // ---- shape ops (mirror the corresponding tape ops) ----
-
-    /// Horizontal concatenation `[a | b]` (mirrors `Tape::concat_cols`).
-    pub fn concat_cols(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
-        assert_eq!(a.rows(), b.rows(), "concat_cols row mismatch");
-        let (ca, cb) = (a.cols(), b.cols());
-        let mut out = self.pool.acquire(a.rows(), ca + cb);
-        for r in 0..a.rows() {
-            let (left, right) = out.row_mut(r).split_at_mut(ca);
-            left.copy_from_slice(a.row(r));
-            right.copy_from_slice(b.row(r));
-        }
-        out
-    }
-
-    /// Gather rows by index (mirrors `Tape::gather_rows`).
-    pub fn gather_rows(&mut self, a: &Matrix, idx: &[usize]) -> Matrix {
-        let mut out = self.pool.acquire(idx.len(), a.cols());
-        for (o, &i) in idx.iter().enumerate() {
-            out.row_mut(o).copy_from_slice(a.row(i));
-        }
-        out
-    }
-
-    /// Column-wise mean → `1 × c` (mirrors `Tape::mean_rows`; identical
-    /// accumulate-then-scale order to `Matrix::mean_rows`).
-    pub fn mean_rows(&mut self, a: &Matrix) -> Matrix {
-        let mut out = self.pool.acquire(1, a.cols());
-        if a.rows() == 0 {
-            return out;
-        }
-        for r in 0..a.rows() {
-            for (o, &x) in out.data_mut().iter_mut().zip(a.row(r)) {
-                *o += x;
-            }
-        }
-        let inv = 1.0 / a.rows() as f32;
-        out.map_inplace(|x| x * inv);
-        out
-    }
-
-    /// Column-wise max → `1 × c` (mirrors `Tape::max_rows` / `Matrix::max_rows`:
-    /// starts from −∞, strict `>` update).
-    pub fn max_rows(&mut self, a: &Matrix) -> Matrix {
-        let mut out = self.filled(1, a.cols(), f32::NEG_INFINITY);
-        for r in 0..a.rows() {
-            for (o, &x) in out.data_mut().iter_mut().zip(a.row(r)) {
-                if x > *o {
-                    *o = x;
-                }
-            }
-        }
-        out
-    }
-
-    /// Column-wise sum → `1 × c` (mirrors `Tape::sum_rows_readout`).
-    pub fn sum_rows(&mut self, a: &Matrix) -> Matrix {
-        let mut out = self.pool.acquire(1, a.cols());
-        for r in 0..a.rows() {
-            for (o, &x) in out.data_mut().iter_mut().zip(a.row(r)) {
-                *o += x;
-            }
-        }
-        out
-    }
-
-    /// `Σ_p w[0,p] · hs[p]` (mirrors `Tape::weighted_sum`: a zeroed
-    /// accumulator receiving the same `axpy` sequence in order).
-    pub fn weighted_sum(&mut self, hs: &[Matrix], w: &Matrix) -> Matrix {
-        assert!(!hs.is_empty());
-        assert_eq!(w.shape(), (1, hs.len()), "weights must be 1×P");
-        let shape = hs[0].shape();
-        let mut out = self.pool.acquire(shape.0, shape.1);
-        for (p, h) in hs.iter().enumerate() {
-            assert_eq!(h.shape(), shape, "weighted_sum shape mismatch");
-            out.axpy(w.get(0, p), h);
-        }
-        out
-    }
-}
-
-/// One fused pass over the product buffer: `out[r][c] = act(out[r][c] + bias[c])`.
-/// Each element sees exactly the unfused sequence (bias add, then the
-/// activation applied to that sum), so fusion preserves bitwise equality.
-fn fused_bias_act(out: &mut Matrix, bias: &Matrix, act: impl Fn(f32) -> f32) {
-    assert_eq!(bias.rows(), 1, "bias must be a row vector");
-    assert_eq!(bias.cols(), out.cols(), "bias width mismatch");
-    let cols = out.cols().max(1);
-    for row in out.data_mut().chunks_mut(cols) {
-        for (o, &b) in row.iter_mut().zip(bias.data()) {
-            *o = act(*o + b);
-        }
     }
 }
 
@@ -287,6 +158,7 @@ pub fn thread_pool_free_buffers() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Exec, InferExec, ParamSet};
 
     #[test]
     fn pooled_matmul_matches_serial() {
@@ -309,19 +181,22 @@ mod tests {
         let x = Matrix::from_rows(&[vec![0.5, -1.5], vec![2.0, 0.25]]);
         let w = Matrix::from_rows(&[vec![1.0, -2.0, 0.5], vec![0.75, 3.0, -0.125]]);
         let b = Matrix::row_vector(vec![0.1, -0.2, 0.3]);
-        let mut ctx = InferCtx::new();
         let reference = x.matmul(&w).add_row_broadcast(&b);
-        let lin = ctx.linear(&x, &w, &b);
+        let mut params = ParamSet::new();
+        let (w, b) = (params.add("w", w), params.add("b", b));
+        let mut ctx = InferCtx::new();
+        let mut ctx = InferExec::new(&mut ctx, &params);
+        let lin = ctx.linear(&x, w, b);
         for (l, r) in lin.data().iter().zip(reference.data()) {
             assert_eq!(l.to_bits(), r.to_bits());
         }
         let relu_ref = reference.map(|v| v.max(0.0));
-        let fused = ctx.linear_relu(&x, &w, &b);
+        let fused = ctx.linear_relu(&x, w, b);
         for (l, r) in fused.data().iter().zip(relu_ref.data()) {
             assert_eq!(l.to_bits(), r.to_bits());
         }
         let sig_ref = reference.map(|v| 1.0 / (1.0 + (-v).exp()));
-        let fused_sig = ctx.linear_sigmoid(&x, &w, &b);
+        let fused_sig = ctx.linear_sigmoid(&x, w, b);
         for (l, r) in fused_sig.data().iter().zip(sig_ref.data()) {
             assert_eq!(l.to_bits(), r.to_bits());
         }
@@ -344,6 +219,11 @@ mod tests {
     fn readouts_match_matrix_kernels() {
         let m = Matrix::from_rows(&[vec![1.0, 10.0], vec![3.0, -2.0]]);
         let mut ctx = InferCtx::new();
+        // the readouts below run on recycled buffers, released dirty
+        let dirty: Vec<Matrix> = (0..4).map(|_| ctx.filled(2, 4, 7.0)).collect();
+        dirty.into_iter().for_each(|d| ctx.release(d));
+        let params = ParamSet::new();
+        let mut ctx = InferExec::new(&mut ctx, &params);
         assert_eq!(ctx.mean_rows(&m), m.mean_rows());
         assert_eq!(ctx.max_rows(&m), m.max_rows());
         assert_eq!(ctx.sum_rows(&m), m.sum_rows());
@@ -359,8 +239,9 @@ mod tests {
         let h0 = Matrix::row_vector(vec![1.0, 2.0]);
         let h1 = Matrix::row_vector(vec![3.0, 4.0]);
         let w = Matrix::row_vector(vec![0.25, 0.75]);
+        let params = ParamSet::new();
         let mut ctx = InferCtx::new();
-        let out = ctx.weighted_sum(&[h0.clone(), h1.clone()], &w);
+        let out = InferExec::new(&mut ctx, &params).weighted_sum(&[h0.clone(), h1.clone()], &w);
         let mut reference = Matrix::zeros(1, 2);
         reference.axpy(0.25, &h0);
         reference.axpy(0.75, &h1);

@@ -6,38 +6,13 @@ use rand::Rng;
 
 /// Glorot/Xavier uniform: `U(−√(6/(fan_in+fan_out)), +√(6/(fan_in+fan_out)))`.
 pub fn xavier_uniform(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
-    let limit = (6.0 / (rows + cols) as f32).sqrt();
-    let data = (0..rows * cols)
-        .map(|_| rng.gen_range(-limit..=limit))
-        .collect();
-    Matrix::from_vec(rows, cols, data)
-}
-
-/// Kaiming/He uniform for ReLU fan-in.
-pub fn kaiming_uniform(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
-    let limit = (6.0 / rows as f32).sqrt();
-    let data = (0..rows * cols)
-        .map(|_| rng.gen_range(-limit..=limit))
-        .collect();
-    Matrix::from_vec(rows, cols, data)
+    uniform(rng, rows, cols, (6.0 / (rows + cols) as f32).sqrt())
 }
 
 /// Uniform in `[-limit, limit]`.
 pub fn uniform(rng: &mut StdRng, rows: usize, cols: usize, limit: f32) -> Matrix {
     let data = (0..rows * cols)
         .map(|_| rng.gen_range(-limit..=limit))
-        .collect();
-    Matrix::from_vec(rows, cols, data)
-}
-
-/// Approximately standard-normal entries scaled by `std` (sum of uniforms).
-pub fn normal(rng: &mut StdRng, rows: usize, cols: usize, std: f32) -> Matrix {
-    let data = (0..rows * cols)
-        .map(|_| {
-            // Irwin–Hall(12) − 6 ≈ N(0, 1)
-            let s: f32 = (0..12).map(|_| rng.gen_range(0.0f32..1.0)).sum();
-            (s - 6.0) * std
-        })
         .collect();
     Matrix::from_vec(rows, cols, data)
 }
@@ -55,20 +30,5 @@ mod tests {
         assert!(m.data().iter().all(|x| x.abs() <= limit));
         let mut rng2 = StdRng::seed_from_u64(7);
         assert_eq!(m, xavier_uniform(&mut rng2, 10, 20));
-    }
-
-    #[test]
-    fn normal_has_reasonable_moments() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let m = normal(&mut rng, 100, 100, 1.0);
-        let mean = m.mean();
-        let var = m
-            .data()
-            .iter()
-            .map(|x| (x - mean) * (x - mean))
-            .sum::<f32>()
-            / m.len() as f32;
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.1, "var {var}");
     }
 }

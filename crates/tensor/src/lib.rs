@@ -8,9 +8,8 @@
 //! normalized adjacency propagation, a tape-based reverse-mode autograd
 //! engine ([`tape::Tape`]), a tape-free serving path ([`infer`]), the
 //! [`exec::Exec`] op set that lets one forward body run on either,
-//! parameter initialization, first-order optimizers (SGD with momentum,
-//! Adam), and durable training checkpoints ([`checkpoint`]) for
-//! crash-safe resume-exact training.
+//! parameter initialization, the Adam optimizer, and durable training
+//! checkpoints ([`checkpoint`]) for crash-safe resume-exact training.
 //!
 //! Design notes (following the Rust performance-book idioms):
 //! - all tensors are `f32`, row-major, contiguous `Vec<f32>`;
@@ -35,7 +34,7 @@ pub use csr::Csr;
 pub use exec::{Exec, InferExec, TapeExec};
 pub use infer::{BufferPool, InferCtx};
 pub use matrix::Matrix;
-pub use optim::{Adam, AdamState, Optimizer, ParamId, ParamMismatch, ParamSet, Sgd};
+pub use optim::{Adam, AdamState, ParamId, ParamMismatch, ParamSet};
 pub use tape::{Tape, Var};
 
 /// Numeric tolerance used across the crate's tests and gradient checks.

@@ -256,32 +256,22 @@ impl Matrix {
     }
 
     /// Add a `1 × cols` row vector to every row (broadcast bias add).
-    /// Written in one pass straight into the output buffer — no
-    /// clone-then-mutate round trip over the input.
     pub fn add_row_broadcast(&self, bias: &Matrix) -> Matrix {
-        assert_eq!(bias.rows, 1, "bias must be a row vector");
-        assert_eq!(bias.cols, self.cols, "bias width mismatch");
-        let mut data = Vec::with_capacity(self.data.len());
-        for r in 0..self.rows {
-            for (&x, &b) in self.row(r).iter().zip(&bias.data) {
-                data.push(x + b);
-            }
-        }
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
+        let mut out = self.clone();
+        out.add_bias_act(bias, |x| x);
+        out
     }
 
-    /// In-place variant of [`add_row_broadcast`](Self::add_row_broadcast):
-    /// `self[r][c] += bias[c]` — identical arithmetic, zero allocations.
-    pub fn add_row_broadcast_inplace(&mut self, bias: &Matrix) {
+    /// The broadcast bias add with an element-wise activation fused into
+    /// the same pass, in place: `self[r][c] = act(self[r][c] + bias[c])`.
+    /// Each element sees exactly the unfused sequence (the add, then `act`
+    /// of the sum), so fusion keeps the bits.
+    pub fn add_bias_act(&mut self, bias: &Matrix, act: impl Fn(f32) -> f32) {
         assert_eq!(bias.rows, 1, "bias must be a row vector");
         assert_eq!(bias.cols, self.cols, "bias width mismatch");
-        for row in self.data.chunks_mut(bias.cols.max(1)) {
+        for row in self.data.chunks_mut(self.cols.max(1)) {
             for (o, &b) in row.iter_mut().zip(&bias.data) {
-                *o += b;
+                *o = act(*o + b);
             }
         }
     }
@@ -303,72 +293,86 @@ impl Matrix {
     /// Column-wise mean: returns a `1 × cols` matrix.
     pub fn mean_rows(&self) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols);
+        self.mean_rows_into(&mut out);
+        out
+    }
+
+    /// [`mean_rows`](Self::mean_rows) into a zeroed `1 × cols` buffer: the
+    /// column sums, then one scale by `1 / rows` (none for zero rows).
+    pub(crate) fn mean_rows_into(&self, out: &mut Matrix) {
         if self.rows == 0 {
-            return out;
+            return;
         }
-        for r in 0..self.rows {
-            for (o, &x) in out.data.iter_mut().zip(self.row(r)) {
-                *o += x;
-            }
-        }
+        self.sum_rows_into(out);
         let inv = 1.0 / self.rows as f32;
         out.map_inplace(|x| x * inv);
-        out
     }
 
     /// Column-wise max: returns a `1 × cols` matrix (−∞ on zero rows).
     pub fn max_rows(&self) -> Matrix {
         let mut out = Matrix::full(1, self.cols, f32::NEG_INFINITY);
+        self.max_rows_into(&mut out, |_, _| {});
+        out
+    }
+
+    /// [`max_rows`](Self::max_rows) into a `1 × cols` buffer holding −∞:
+    /// a strict `>` update over the rows in order. `raised(c, r)` runs each
+    /// time row `r` raises column `c`, so its last call for a column names
+    /// the first row holding that column's maximum.
+    pub(crate) fn max_rows_into(&self, out: &mut Matrix, mut raised: impl FnMut(usize, usize)) {
+        debug_assert_eq!(out.shape(), (1, self.cols));
         for r in 0..self.rows {
-            for (o, &x) in out.data.iter_mut().zip(self.row(r)) {
+            for (c, (o, &x)) in out.data.iter_mut().zip(self.row(r)).enumerate() {
                 if x > *o {
                     *o = x;
+                    raised(c, r);
                 }
             }
         }
-        out
     }
 
     /// Column-wise sum: returns a `1 × cols` matrix.
     pub fn sum_rows(&self) -> Matrix {
         let mut out = Matrix::zeros(1, self.cols);
+        self.sum_rows_into(&mut out);
+        out
+    }
+
+    /// [`sum_rows`](Self::sum_rows) accumulated into a zeroed `1 × cols`
+    /// buffer, row by row in order.
+    pub(crate) fn sum_rows_into(&self, out: &mut Matrix) {
+        debug_assert_eq!(out.shape(), (1, self.cols));
         for r in 0..self.rows {
             for (o, &x) in out.data.iter_mut().zip(self.row(r)) {
                 *o += x;
             }
         }
+    }
+
+    /// `out += Σ_p w[0,p] · hs[p]` for a `1 × P` weight row: one
+    /// [`axpy`](Self::axpy) per part, in order. Into a zeroed buffer this is
+    /// the weighted sum of the parts.
+    pub(crate) fn add_weighted<'a>(
+        &mut self,
+        hs: impl ExactSizeIterator<Item = &'a Matrix>,
+        w: &Matrix,
+    ) {
+        assert_eq!(w.shape(), (1, hs.len()), "weights must be 1×P");
+        for (p, h) in hs.enumerate() {
+            assert_eq!(h.shape(), self.shape(), "weighted_sum shape mismatch");
+            self.axpy(w.get(0, p), h);
+        }
+    }
+
+    /// Row-wise softmax (numerically stabilized).
+    pub fn softmax_rows(&self) -> Matrix {
+        let mut out = self.clone();
+        out.softmax_rows_inplace();
         out
     }
 
-    /// Row-wise softmax (numerically stabilized). Exponentials are written
-    /// straight into the output buffer — no clone-then-mutate round trip.
-    pub fn softmax_rows(&self) -> Matrix {
-        let mut data = Vec::with_capacity(self.data.len());
-        for r in 0..self.rows {
-            let row = self.row(r);
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let start = data.len();
-            let mut sum = 0.0;
-            for &x in row {
-                let e = (x - max).exp();
-                sum += e;
-                data.push(e);
-            }
-            if sum > 0.0 {
-                for x in &mut data[start..] {
-                    *x /= sum;
-                }
-            }
-        }
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// In-place variant of [`softmax_rows`](Self::softmax_rows): identical
-    /// per-row max/exp/normalize arithmetic, zero allocations.
+    /// In-place row-wise softmax: each row is shifted by its max,
+    /// exponentiated, and divided by its sum when that sum is positive.
     pub fn softmax_rows_inplace(&mut self) {
         for row in self.data.chunks_mut(self.cols.max(1)) {
             let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -388,21 +392,36 @@ impl Matrix {
     /// Gather rows by index into a new matrix.
     pub fn gather_rows(&self, idx: &[usize]) -> Matrix {
         let mut out = Matrix::zeros(idx.len(), self.cols);
+        self.gather_rows_into(idx, &mut out);
+        out
+    }
+
+    /// [`gather_rows`](Self::gather_rows) into an `idx.len() × cols`
+    /// buffer, every element of which is overwritten.
+    pub fn gather_rows_into(&self, idx: &[usize], out: &mut Matrix) {
+        debug_assert_eq!(out.shape(), (idx.len(), self.cols));
         for (o, &i) in idx.iter().enumerate() {
             out.row_mut(o).copy_from_slice(self.row(i));
         }
-        out
     }
 
     /// Horizontal concatenation `[self | rhs]`.
     pub fn concat_cols(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.rows, rhs.rows, "concat_cols row mismatch");
         let mut out = Matrix::zeros(self.rows, self.cols + rhs.cols);
-        for r in 0..self.rows {
-            out.data[r * out.cols..r * out.cols + self.cols].copy_from_slice(self.row(r));
-            out.data[r * out.cols + self.cols..(r + 1) * out.cols].copy_from_slice(rhs.row(r));
-        }
+        self.concat_cols_into(rhs, &mut out);
         out
+    }
+
+    /// [`concat_cols`](Self::concat_cols) into a `rows × (cols +
+    /// rhs.cols)` buffer, every element of which is overwritten.
+    pub(crate) fn concat_cols_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.rows, rhs.rows, "concat_cols row mismatch");
+        debug_assert_eq!(out.shape(), (self.rows, self.cols + rhs.cols));
+        for r in 0..self.rows {
+            let (left, right) = out.row_mut(r).split_at_mut(self.cols);
+            left.copy_from_slice(self.row(r));
+            right.copy_from_slice(rhs.row(r));
+        }
     }
 
     /// Vertical concatenation (stack on top of each other).
@@ -457,6 +476,18 @@ impl Matrix {
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
     }
+}
+
+/// `max(x, 0)`: the one spelling of the ReLU formula.
+#[inline]
+pub(crate) fn relu(x: f32) -> f32 {
+    x.max(0.0)
+}
+
+/// `1 / (1 + e^{−x})`: the one spelling of the logistic sigmoid.
+#[inline]
+pub(crate) fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-//! Parameter containers and first-order optimizers.
+//! Parameter containers and the Adam optimizer.
 //!
 //! Models own a [`ParamSet`]; each forward pass binds the parameters onto a
 //! fresh [`Tape`] (in registration order) and after `backward` the optimizer
 //! applies the gradients back onto the set. Freezing (for the paper's
-//! transfer-learning stage, §3.3.4) is a per-parameter flag the optimizers
-//! honour.
+//! transfer-learning stage, §3.3.4) is a per-parameter flag the optimizer
+//! honours.
 
 use crate::tape::{Grads, Tape, Var};
 use crate::Matrix;
@@ -76,10 +76,6 @@ impl ParamSet {
     /// Unfreeze everything.
     pub fn unfreeze_all(&mut self) {
         self.frozen.iter_mut().for_each(|f| *f = false);
-    }
-
-    pub fn is_frozen(&self, id: ParamId) -> bool {
-        self.frozen[id.0]
     }
 
     /// Count of frozen parameters.
@@ -182,88 +178,16 @@ impl std::fmt::Display for ParamMismatch {
 
 impl std::error::Error for ParamMismatch {}
 
-/// Optimizer over a [`ParamSet`].
-pub trait Optimizer {
-    /// Apply one update step. `vars[i]` must be the tape var bound from
-    /// parameter `i` this pass (i.e. the output of [`ParamSet::bind`]).
-    fn step(&mut self, params: &mut ParamSet, vars: &[Var], grads: &Grads);
-}
-
-/// SGD with classical momentum and optional L2 weight decay.
-pub struct Sgd {
-    pub lr: f32,
-    pub momentum: f32,
-    pub weight_decay: f32,
-    velocity: Vec<Option<Matrix>>,
-}
-
-impl Sgd {
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    pub fn with_momentum(mut self, m: f32) -> Self {
-        self.momentum = m;
-        self
-    }
-
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut ParamSet, vars: &[Var], grads: &Grads) {
-        if self.velocity.len() < params.len() {
-            self.velocity.resize_with(params.len(), || None);
-        }
-        let (lr, mom, wd) = (self.lr, self.momentum, self.weight_decay);
-        // Fully in-place: updates are element-wise independent, so one fused
-        // pass per parameter replaces the old clone/scale/axpy sequence with
-        // the same floating-point expressions (bitwise-identical trajectory,
-        // zero allocations after the velocity buffers exist).
-        #[expect(
-            clippy::needless_range_loop,
-            reason = "i indexes four parallel arrays (frozen, mats, vars, velocity)"
-        )]
-        for i in 0..params.len() {
-            if params.frozen[i] {
-                continue;
-            }
-            let Some(g) = grads.get(vars[i]) else {
-                continue;
-            };
-            let p = &mut params.mats[i];
-            if mom > 0.0 {
-                let v = self.velocity[i].get_or_insert_with(|| Matrix::zeros(g.rows(), g.cols()));
-                for ((pk, vk), &gk) in p.data_mut().iter_mut().zip(v.data_mut()).zip(g.data()) {
-                    let upd = if wd > 0.0 { gk + wd * *pk } else { gk };
-                    *vk = *vk * mom + upd;
-                    *pk += -lr * *vk;
-                }
-            } else {
-                for (pk, &gk) in p.data_mut().iter_mut().zip(g.data()) {
-                    let upd = if wd > 0.0 { gk + wd * *pk } else { gk };
-                    *pk += -lr * upd;
-                }
-            }
-        }
-    }
-}
+/// Adam's decay rate for the first-moment estimate.
+const BETA1: f32 = 0.9;
+/// Adam's decay rate for the second-moment estimate.
+const BETA2: f32 = 0.999;
+/// Adam's denominator guard.
+const ADAM_EPS: f32 = 1e-8;
 
 /// Adam (Kingma & Ba) with bias correction.
 pub struct Adam {
     pub lr: f32,
-    pub beta1: f32,
-    pub beta2: f32,
-    pub eps: f32,
-    pub weight_decay: f32,
     t: u64,
     m: Vec<Option<Matrix>>,
     v: Vec<Option<Matrix>>,
@@ -273,19 +197,10 @@ impl Adam {
     pub fn new(lr: f32) -> Self {
         Self {
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.0,
             t: 0,
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
     }
 
     /// Snapshot the optimizer's mutable state (step count + moment
@@ -307,27 +222,18 @@ impl Adam {
         self.m = state.m;
         self.v = state.v;
     }
-}
 
-/// Serializable snapshot of [`Adam`]'s mutable state.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct AdamState {
-    pub t: u64,
-    pub m: Vec<Option<Matrix>>,
-    pub v: Vec<Option<Matrix>>,
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut ParamSet, vars: &[Var], grads: &Grads) {
+    /// Apply one update step. `vars[i]` must be the tape var bound from
+    /// parameter `i` this pass (i.e. the output of [`ParamSet::bind`]).
+    pub fn step(&mut self, params: &mut ParamSet, vars: &[Var], grads: &Grads) {
         if self.m.len() < params.len() {
             self.m.resize_with(params.len(), || None);
             self.v.resize_with(params.len(), || None);
         }
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let (lr, beta1, beta2, eps, wd) =
-            (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
+        let bc1 = 1.0 - BETA1.powi(self.t as i32);
+        let bc2 = 1.0 - BETA2.powi(self.t as i32);
+        let lr = self.lr;
         // Fused in-place update. Each element's arithmetic mirrors the old
         // clone/scale/axpy/mul sequence exactly (same f32 expressions in the
         // same order), so trajectories and `state()` round-trips stay
@@ -354,15 +260,22 @@ impl Optimizer for Adam {
                 .zip(v.data_mut())
                 .zip(g.data())
             {
-                let grad = if wd > 0.0 { gk + wd * *pk } else { gk };
-                *mk = *mk * beta1 + (1.0 - beta1) * grad;
-                *vk = *vk * beta2 + (1.0 - beta2) * (grad * grad);
+                *mk = *mk * BETA1 + (1.0 - BETA1) * gk;
+                *vk = *vk * BETA2 + (1.0 - BETA2) * (gk * gk);
                 let mh = *mk / bc1;
                 let vh = *vk / bc2;
-                *pk -= lr * mh / (vh.sqrt() + eps);
+                *pk -= lr * mh / (vh.sqrt() + ADAM_EPS);
             }
         }
     }
+}
+
+/// Serializable snapshot of [`Adam`]'s mutable state.
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+pub struct AdamState {
+    pub t: u64,
+    pub m: Vec<Option<Matrix>>,
+    pub v: Vec<Option<Matrix>>,
 }
 
 #[cfg(test)]
@@ -370,8 +283,8 @@ mod tests {
     use super::*;
     use crate::Tape;
 
-    /// Minimise f(w) = (w − 3)² with each optimizer; both must converge.
-    fn run_quadratic(opt: &mut dyn Optimizer) -> f32 {
+    /// Minimise f(w) = (w − 3)²; the optimizer must converge.
+    fn run_quadratic(opt: &mut Adam) -> f32 {
         let mut params = ParamSet::new();
         params.add("w", Matrix::full(1, 1, 0.0));
         for _ in 0..300 {
@@ -388,12 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1).with_momentum(0.5);
-        assert!((run_quadratic(&mut opt) - 3.0).abs() < 1e-3);
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.1);
         assert!((run_quadratic(&mut opt) - 3.0).abs() < 1e-2);
@@ -405,7 +312,7 @@ mod tests {
         params.add("enc.w", Matrix::full(1, 1, 1.0));
         params.add("head.w", Matrix::full(1, 1, 1.0));
         assert_eq!(params.freeze_prefix("enc."), 1);
-        let mut opt = Sgd::new(0.5);
+        let mut opt = Adam::new(0.5);
         let mut tape = Tape::new();
         let vars = params.bind(&mut tape);
         let s = tape.add(vars[0], vars[1]);

@@ -1,6 +1,6 @@
 //! Parallel execution layer for the dense and sparse kernels.
 //!
-//! Every kernel here is a drop-in for its serial twin on [`Matrix`]/[`Csr`]
+//! Every product here is a drop-in for its serial twin on [`Matrix`]/[`Csr`]
 //! and produces **bitwise-identical** results at any thread count: work is
 //! partitioned by *output row*, each output element is accumulated by
 //! exactly one worker, and each worker runs exactly the serial per-element
@@ -8,13 +8,20 @@
 //! is no atomics-based reduction and no operation reordering — parallel ==
 //! serial is an equality, not a tolerance.
 //!
-//! The dense-output kernels (`matmul`, `t_matmul`, `spmm`, `t_spmm`) share
-//! one register-tiled accumulation loop (`matrix::accumulate_row`): each
-//! output row is built in fixed-width column tiles whose accumulators stay
-//! in registers for the whole pass over the inner dimension, in ascending
-//! order, and are stored once. There is no zero-skip and no per-call scan
-//! of the operands, so a 1–8-row product on a tiny interaction graph costs
-//! its multiply-adds and nothing else.
+//! The five products (`matmul`, `t_matmul`, `matmul_t`, `spmm`, `t_spmm`)
+//! share one private dispatch: it ticks the trace counters, looks up the
+//! thread count, decides between the serial and the fanned-out path, and
+//! partitions the output rows. `matmul_into` and `spmm_into` write into a
+//! caller's buffer; `matmul` and `spmm` only allocate and call them, as
+//! does the pooled inference path (`InferCtx::{matmul, spmm}`).
+//!
+//! The dense-output kernels share one register-tiled accumulation loop
+//! (`matrix::accumulate_row`): each output row is built in fixed-width
+//! column tiles whose accumulators stay in registers for the whole pass
+//! over the inner dimension, in ascending order, and are stored once. There
+//! is no zero-skip and no per-call scan of the operands, so a 1–8-row
+//! product on a tiny interaction graph costs its multiply-adds and nothing
+//! else.
 //!
 //! Thread-count resolution, in priority order:
 //! 1. a [`with_threads`] override on the current thread (used by tests and
@@ -89,25 +96,42 @@ fn partition(n: usize, parts: usize) -> Vec<(usize, usize)> {
     ranges
 }
 
-/// Fan a row-partitioned kernel out over `threads` scoped workers. `out`'s
-/// buffer is split into disjoint row blocks via `split_at_mut`, so workers
-/// never share a cache line's ownership; each kernel overwrites its block.
-/// Workers run with a serial override in place: a kernel that itself calls
-/// a parallel kernel (e.g. through batched scoring) must not fan out again.
-fn run_partitioned<F>(out: &mut Matrix, threads: usize, kernel: F)
+/// The `(calls, flops)` trace counters of a product family.
+type Counters = (&'static str, &'static str);
+const MATMUL: Counters = ("tensor.matmul.calls", "tensor.matmul.flops");
+const SPMM: Counters = ("tensor.spmm.calls", "tensor.spmm.flops");
+
+/// The one dispatch behind every product: count the call and its `2 ×
+/// work` flops, then have `block(lo, hi, slice)` overwrite output rows
+/// `[lo, hi)`, `slice` being exactly those rows of `out`'s buffer. Below
+/// two output rows, one thread or [`MIN_PAR_WORK`] multiply-adds, one call
+/// covers every row. Otherwise the buffer is split into disjoint row
+/// blocks via `split_at_mut`, one per scoped worker, so workers never
+/// share a cache line's ownership. Workers run with a serial override in
+/// place: a kernel that itself calls a parallel kernel (e.g. through
+/// batched scoring) must not fan out again.
+fn dispatch<F>(out: &mut Matrix, (calls, flops): Counters, work: usize, block: F)
 where
     F: Fn(usize, usize, &mut [f32]) + Sync,
 {
-    let w = out.cols();
-    let ranges = partition(out.rows(), threads);
+    if glint_trace::enabled() {
+        glint_trace::counter(calls, 1);
+        glint_trace::counter(flops, 2 * work as u64);
+    }
+    let threads = current_threads();
+    let (rows, w) = out.shape();
+    if threads <= 1 || rows < 2 || work < MIN_PAR_WORK {
+        return block(0, rows, out.data_mut());
+    }
+    let ranges = partition(rows, threads);
     crossbeam::thread::scope(|s| {
         let mut rest = out.data_mut();
         let mut handles = Vec::with_capacity(ranges.len());
         for &(lo, hi) in &ranges {
-            let (block, tail) = rest.split_at_mut((hi - lo) * w);
+            let (part, tail) = rest.split_at_mut((hi - lo) * w);
             rest = tail;
-            let kernel = &kernel;
-            handles.push(s.spawn(move || with_threads(1, || kernel(lo, hi, block))));
+            let block = &block;
+            handles.push(s.spawn(move || with_threads(1, || block(lo, hi, part))));
         }
         for h in handles {
             // glint-lint: allow(hot-unwrap) — a worker panic must propagate
@@ -120,97 +144,40 @@ where
     .expect("scoped thread pool failed");
 }
 
+/// Panic unless the operand shapes `a` and `b` fit product `op`.
+fn check_dims(op: &str, fit: bool, a: (usize, usize), b: (usize, usize)) {
+    assert!(fit, "{op} {}x{} × {}x{}", a.0, a.1, b.0, b.1);
+}
+
 /// Parallel `a × b`; exact same result as [`Matrix::matmul`].
 pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    if glint_trace::enabled() {
-        glint_trace::counter("tensor.matmul.calls", 1);
-        glint_trace::counter(
-            "tensor.matmul.flops",
-            2 * (a.rows() * a.cols() * b.cols()) as u64,
-        );
-    }
-    let threads = current_threads();
-    if threads <= 1 || a.rows() < 2 || a.rows() * a.cols() * b.cols() < MIN_PAR_WORK {
-        return a.matmul(b);
-    }
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul {}x{} × {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
     let mut out = Matrix::zeros(a.rows(), b.cols());
-    run_partitioned(&mut out, threads, |lo, hi, block| {
-        matmul_block(a, b, lo, hi, block)
-    });
+    matmul_into(a, b, &mut out);
     out
 }
 
-/// Parallel `a × b` into a caller-provided output buffer of shape
-/// `a.rows × b.cols`, every element of which is overwritten. Identical
-/// counters, dispatch thresholds, block kernel and therefore
-/// bitwise-identical results to [`matmul`] — the only difference is that
-/// the output allocation is the caller's (the tape-free inference path
-/// feeds pooled buffers through here; see `crate::infer`).
+/// [`matmul`] into a caller-provided output buffer of shape
+/// `a.rows × b.cols`, every element of which is overwritten. The tape-free
+/// inference path feeds pooled buffers through here.
 pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    if glint_trace::enabled() {
-        glint_trace::counter("tensor.matmul.calls", 1);
-        glint_trace::counter(
-            "tensor.matmul.flops",
-            2 * (a.rows() * a.cols() * b.cols()) as u64,
-        );
-    }
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul {}x{} × {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
+    check_dims("matmul", a.cols() == b.rows(), a.shape(), b.shape());
     assert_eq!(
         out.shape(),
         (a.rows(), b.cols()),
         "matmul_into output shape mismatch"
     );
-    let threads = current_threads();
-    if threads <= 1 || a.rows() < 2 || a.rows() * a.cols() * b.cols() < MIN_PAR_WORK {
-        matmul_block(a, b, 0, a.rows(), out.data_mut());
-        return;
-    }
-    run_partitioned(out, threads, |lo, hi, block| {
+    let work = a.rows() * a.cols() * b.cols();
+    dispatch(out, MATMUL, work, |lo, hi, block| {
         matmul_block(a, b, lo, hi, block)
     });
 }
 
 /// Parallel `aᵀ × b`; exact same result as [`Matrix::t_matmul`].
 pub fn t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-    if glint_trace::enabled() {
-        glint_trace::counter("tensor.matmul.calls", 1);
-        glint_trace::counter(
-            "tensor.matmul.flops",
-            2 * (a.rows() * a.cols() * b.cols()) as u64,
-        );
-    }
-    let threads = current_threads();
-    if threads <= 1 || a.cols() < 2 || a.rows() * a.cols() * b.cols() < MIN_PAR_WORK {
-        return a.t_matmul(b);
-    }
-    assert_eq!(
-        a.rows(),
-        b.rows(),
-        "t_matmul {}x{} × {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
+    check_dims("t_matmul", a.rows() == b.rows(), a.shape(), b.shape());
     let mut out = Matrix::zeros(a.cols(), b.cols());
-    run_partitioned(&mut out, threads, |lo, hi, block| {
+    let work = a.rows() * a.cols() * b.cols();
+    dispatch(&mut out, MATMUL, work, |lo, hi, block| {
         t_matmul_block(a, b, lo, hi, block)
     });
     out
@@ -218,28 +185,10 @@ pub fn t_matmul(a: &Matrix, b: &Matrix) -> Matrix {
 
 /// Parallel `a × bᵀ`; exact same result as [`Matrix::matmul_t`].
 pub fn matmul_t(a: &Matrix, b: &Matrix) -> Matrix {
-    if glint_trace::enabled() {
-        glint_trace::counter("tensor.matmul.calls", 1);
-        glint_trace::counter(
-            "tensor.matmul.flops",
-            2 * (a.rows() * a.cols() * b.rows()) as u64,
-        );
-    }
-    let threads = current_threads();
-    if threads <= 1 || a.rows() < 2 || a.rows() * a.cols() * b.rows() < MIN_PAR_WORK {
-        return a.matmul_t(b);
-    }
-    assert_eq!(
-        a.cols(),
-        b.cols(),
-        "matmul_t {}x{} × {}x{}",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
+    check_dims("matmul_t", a.cols() == b.cols(), a.shape(), b.shape());
     let mut out = Matrix::zeros(a.rows(), b.rows());
-    run_partitioned(&mut out, threads, |lo, hi, block| {
+    let work = a.rows() * a.cols() * b.rows();
+    dispatch(&mut out, MATMUL, work, |lo, hi, block| {
         matmul_t_block(a, b, lo, hi, block)
     });
     out
@@ -247,87 +196,35 @@ pub fn matmul_t(a: &Matrix, b: &Matrix) -> Matrix {
 
 /// Parallel sparse × dense `a × h`; exact same result as [`Csr::spmm`].
 pub fn spmm(a: &Csr, h: &Matrix) -> Matrix {
-    if glint_trace::enabled() {
-        glint_trace::counter("tensor.spmm.calls", 1);
-        glint_trace::counter("tensor.spmm.flops", 2 * (a.nnz() * h.cols()) as u64);
-    }
-    let threads = current_threads();
-    if threads <= 1 || a.rows() < 2 || a.nnz() * h.cols() < MIN_PAR_WORK {
-        return a.spmm(h);
-    }
-    assert_eq!(
-        a.cols(),
-        h.rows(),
-        "spmm {}x{} × {}x{}",
-        a.rows(),
-        a.cols(),
-        h.rows(),
-        h.cols()
-    );
     let mut out = Matrix::zeros(a.rows(), h.cols());
-    run_partitioned(&mut out, threads, |lo, hi, block| {
-        a.spmm_block(h, lo, hi, block)
-    });
+    spmm_into(a, h, &mut out);
     out
 }
 
-/// Parallel sparse × dense `a × h` into a caller-provided output buffer of
-/// shape `a.rows × h.cols`, every element of which is overwritten.
-/// Identical counters, dispatch thresholds and block kernel to [`spmm`], so
-/// results are bitwise identical — only the output allocation moves to the
-/// caller.
+/// [`spmm`] into a caller-provided output buffer of shape
+/// `a.rows × h.cols`, every element of which is overwritten.
 pub fn spmm_into(a: &Csr, h: &Matrix, out: &mut Matrix) {
-    if glint_trace::enabled() {
-        glint_trace::counter("tensor.spmm.calls", 1);
-        glint_trace::counter("tensor.spmm.flops", 2 * (a.nnz() * h.cols()) as u64);
-    }
-    assert_eq!(
-        a.cols(),
-        h.rows(),
-        "spmm {}x{} × {}x{}",
-        a.rows(),
-        a.cols(),
-        h.rows(),
-        h.cols()
-    );
+    check_dims("spmm", a.cols() == h.rows(), a.shape(), h.shape());
     assert_eq!(
         out.shape(),
         (a.rows(), h.cols()),
         "spmm_into output shape mismatch"
     );
-    let threads = current_threads();
-    if threads <= 1 || a.rows() < 2 || a.nnz() * h.cols() < MIN_PAR_WORK {
-        a.spmm_block(h, 0, a.rows(), out.data_mut());
-        return;
-    }
-    run_partitioned(out, threads, |lo, hi, block| a.spmm_block(h, lo, hi, block));
+    let work = a.nnz() * h.cols();
+    dispatch(out, SPMM, work, |lo, hi, block| {
+        a.spmm_block(h, lo, hi, block)
+    });
 }
 
 /// Parallel transposed sparse × dense `aᵀ × h`; exact same result as
 /// [`Csr::t_spmm`]. Both regroup the stored entries by column (ascending
-/// source row) and run the same block kernel over that view; this one
-/// partitions the output rows like every other kernel.
+/// source row) and run the same block kernel over that view.
 pub fn t_spmm(a: &Csr, h: &Matrix) -> Matrix {
-    if glint_trace::enabled() {
-        glint_trace::counter("tensor.spmm.calls", 1);
-        glint_trace::counter("tensor.spmm.flops", 2 * (a.nnz() * h.cols()) as u64);
-    }
-    let threads = current_threads();
-    if threads <= 1 || a.cols() < 2 || a.nnz() * h.cols() < MIN_PAR_WORK {
-        return a.t_spmm(h);
-    }
-    assert_eq!(
-        a.rows(),
-        h.rows(),
-        "t_spmm {}x{} × {}x{}",
-        a.rows(),
-        a.cols(),
-        h.rows(),
-        h.cols()
-    );
+    check_dims("t_spmm", a.rows() == h.rows(), a.shape(), h.shape());
     let (col_ptr, entries) = a.csc_groups();
     let mut out = Matrix::zeros(a.cols(), h.cols());
-    run_partitioned(&mut out, threads, |lo, hi, block| {
+    let work = a.nnz() * h.cols();
+    dispatch(&mut out, SPMM, work, |lo, hi, block| {
         a.t_spmm_block(h, &col_ptr, &entries, lo, hi, block)
     });
     out

@@ -9,6 +9,7 @@
 //! [`Tape::contrastive_pair`]) carry analytic gradients so the numerically
 //! delicate parts never go through the generic op graph.
 
+use crate::matrix::{relu, sigmoid};
 use crate::{Csr, Matrix};
 
 /// Strict-mode dynamic checks (`--features strict`): shape, bounds, and
@@ -272,7 +273,7 @@ impl Tape {
     // ---- activations ----
 
     pub fn relu(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|x| x.max(0.0));
+        let value = self.value(a).map(relu);
         self.push(
             value,
             vec![a.0],
@@ -282,21 +283,8 @@ impl Tape {
         )
     }
 
-    pub fn leaky_relu(&mut self, a: Var, alpha: f32) -> Var {
-        let value = self.value(a).map(|x| if x > 0.0 { x } else { alpha * x });
-        self.push(
-            value,
-            vec![a.0],
-            Some(Box::new(move |g, p, _| {
-                vec![Some(
-                    g.zip(p[0], |gi, x| if x > 0.0 { gi } else { alpha * gi }),
-                )]
-            })),
-        )
-    }
-
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
+        let value = self.value(a).map(sigmoid);
         self.push(
             value,
             vec![a.0],
@@ -336,20 +324,6 @@ impl Tape {
                 }
                 vec![Some(out)]
             })),
-        )
-    }
-
-    /// Inverted dropout with a fixed pre-sampled mask (1.0 = keep). The mask
-    /// is expected to be already scaled by `1/keep_prob`.
-    pub fn dropout_mask(&mut self, a: Var, mask: &Matrix) -> Var {
-        #[cfg(feature = "strict")]
-        strict::shape_eq("dropout_mask", self.value(a), mask);
-        let value = self.value(a).mul(mask);
-        let mask = mask.clone();
-        self.push(
-            value,
-            vec![a.0],
-            Some(Box::new(move |g, _, _| vec![Some(g.mul(&mask))])),
         )
     }
 
@@ -444,16 +418,8 @@ impl Tape {
     pub fn max_rows(&mut self, a: Var) -> Var {
         let val = self.value(a);
         let mut argmax = vec![0usize; val.cols()];
-        for (c, am) in argmax.iter_mut().enumerate() {
-            let mut best = f32::NEG_INFINITY;
-            for r in 0..val.rows() {
-                if val.get(r, c) > best {
-                    best = val.get(r, c);
-                    *am = r;
-                }
-            }
-        }
-        let value = val.max_rows();
+        let mut value = Matrix::full(1, val.cols(), f32::NEG_INFINITY);
+        val.max_rows_into(&mut value, |c, r| argmax[c] = r);
         self.push(
             value,
             vec![a.0],
@@ -501,14 +467,9 @@ impl Tape {
     /// Used for inter-metapath attention fusion: `w` is a `1 × P` attention
     /// row and each `hs[p]` an `n × d` metapath summary.
     pub fn weighted_sum(&mut self, hs: &[Var], w: Var) -> Var {
-        assert!(!hs.is_empty());
-        assert_eq!(self.value(w).shape(), (1, hs.len()), "weights must be 1×P");
-        let shape = self.value(hs[0]).shape();
-        let mut value = Matrix::zeros(shape.0, shape.1);
-        for (p, &h) in hs.iter().enumerate() {
-            assert_eq!(self.value(h).shape(), shape, "weighted_sum shape mismatch");
-            value.axpy(self.value(w).get(0, p), self.value(h));
-        }
+        let (rows, cols) = self.value(hs[0]).shape();
+        let mut value = Matrix::zeros(rows, cols);
+        value.add_weighted(hs.iter().map(|&h| self.value(h)), self.value(w));
         let mut parents: Vec<usize> = hs.iter().map(|v| v.0).collect();
         parents.push(w.0);
         let n_h = hs.len();
@@ -581,7 +542,7 @@ impl Tape {
         for (r, &t) in targets.iter().enumerate() {
             let x = z.get(r, 0);
             // stable: max(x,0) - x t + ln(1 + e^{-|x|})
-            loss += x.max(0.0) - x * t + (1.0 + (-x.abs()).exp()).ln();
+            loss += relu(x) - x * t + (1.0 + (-x.abs()).exp()).ln();
         }
         loss /= n;
         let targets = targets.to_vec();
@@ -592,8 +553,7 @@ impl Tape {
                 let mut out = Matrix::zeros(p[0].rows(), 1);
                 for (r, &t) in targets.iter().enumerate() {
                     let x = p[0].get(r, 0);
-                    let s = 1.0 / (1.0 + (-x).exp());
-                    out.set(r, 0, (s - t) / n * g.get(0, 0));
+                    out.set(r, 0, (sigmoid(x) - t) / n * g.get(0, 0));
                 }
                 vec![Some(out)]
             })),
@@ -612,7 +572,7 @@ impl Tape {
         let loss = if same_label {
             d2
         } else {
-            let m = (margin - d).max(0.0);
+            let m = relu(margin - d);
             m * m
         };
         self.push(

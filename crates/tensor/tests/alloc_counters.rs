@@ -4,8 +4,8 @@
 //! properties that recover that budget:
 //!
 //! 1. optimizer steps are allocation-free once their state buffers exist
-//!    (the old `Adam::step`/`Sgd::step` cloned every gradient and moment
-//!    matrix on every step);
+//!    (the old `Adam::step` cloned every gradient and moment matrix on
+//!    every step);
 //! 2. the pooled inference kernels stop allocating after warm-up, and a
 //!    fixed training loop stays under a pinned allocation ceiling.
 //!
@@ -13,7 +13,7 @@
 //! its whole body — an unmetered warm-up must not allocate while another
 //! test is counting — and leaves tracing disabled on exit.
 
-use glint_tensor::{Adam, InferCtx, Matrix, Optimizer, ParamSet, Sgd, Tape};
+use glint_tensor::{Adam, Exec, InferCtx, InferExec, Matrix, ParamSet, Tape};
 use std::sync::{Mutex, MutexGuard};
 
 static TRACE_LOCK: Mutex<()> = Mutex::new(());
@@ -38,7 +38,7 @@ fn with_trace<R>(f: impl FnOnce() -> R) -> R {
 /// One quadratic training step: forward + backward on a fresh tape, then
 /// `opt.step`. Returns the grads-producing closure's artifacts so callers
 /// can meter the step in isolation.
-fn quadratic_step(opt: &mut dyn Optimizer, params: &mut ParamSet, metered: bool) -> u64 {
+fn quadratic_step(opt: &mut Adam, params: &mut ParamSet, metered: bool) -> u64 {
     let mut tape = Tape::new();
     let vars = params.bind(&mut tape);
     let loss = quadratic_loss(&mut tape, &vars);
@@ -74,7 +74,7 @@ fn two_params() -> ParamSet {
 fn adam_steps_allocate_nothing_after_warmup() {
     let _serial = serial();
     let mut params = two_params();
-    let mut opt = Adam::new(0.01).with_weight_decay(0.01);
+    let mut opt = Adam::new(0.01);
     // Warm-up: the first step lazily allocates the m/v moment buffers.
     quadratic_step(&mut opt, &mut params, false);
     for _ in 0..5 {
@@ -97,45 +97,21 @@ fn adam_warmup_allocates_exactly_the_moment_buffers() {
 }
 
 #[test]
-fn sgd_steps_allocate_nothing_after_warmup() {
-    let _serial = serial();
-    let mut params = two_params();
-    let mut opt = Sgd::new(0.01).with_momentum(0.9).with_weight_decay(0.01);
-    // Warm-up: the first step lazily allocates the velocity buffers.
-    quadratic_step(&mut opt, &mut params, false);
-    for _ in 0..5 {
-        let allocs = quadratic_step(&mut opt, &mut params, true);
-        assert_eq!(
-            allocs, 0,
-            "Sgd::step must update parameters and velocity in place"
-        );
-    }
-}
-
-#[test]
-fn sgd_without_momentum_never_allocates() {
-    let _serial = serial();
-    let mut params = two_params();
-    let mut opt = Sgd::new(0.01);
-    // No momentum → no state buffers: even the first step is free.
-    let allocs = quadratic_step(&mut opt, &mut params, true);
-    assert_eq!(allocs, 0);
-}
-
-#[test]
 fn pooled_inference_kernels_stop_allocating_once_warm() {
     let _serial = serial();
     let a = Matrix::full(8, 12, 0.3);
-    let b = Matrix::full(12, 8, 0.2);
-    let bias = Matrix::full(1, 8, 0.05);
+    let mut params = ParamSet::new();
+    let b = params.add("w", Matrix::full(12, 8, 0.2));
+    let bias = params.add("b", Matrix::full(1, 8, 0.05));
     let mut ctx = InferCtx::new();
+    let mut x = InferExec::new(&mut ctx, &params);
     // Warm-up pass populates the pool with the working set.
-    let c = ctx.linear_relu(&a, &b, &bias);
-    ctx.release(c);
+    let c = x.linear_relu(&a, b, bias);
+    x.release(c);
     let (allocs, hits, misses) = with_trace(|| {
         for _ in 0..10 {
-            let c = ctx.linear_relu(&a, &b, &bias);
-            ctx.release(c);
+            let c = x.linear_relu(&a, b, bias);
+            x.release(c);
         }
         (
             glint_trace::counter_value("tensor.alloc.matrices"),

@@ -196,7 +196,7 @@ fn serve_mode(detector: GlintDetector<Itgnn, Itgnn>, rules: &[Rule], log: &Event
     let addr = server.addr();
     println!("  listening on http://{addr}");
 
-    let builder = OnlineBuilder::default();
+    let builder = OnlineBuilder;
     let mut degraded = 0;
     let mut first_threat = None;
     for w in 0..8 {

@@ -54,6 +54,9 @@ cargo test --offline --release -q --manifest-path e2ebench/Cargo.toml
 
 echo "== cargo test (strict mode: shape/finiteness checks on every tape op) =="
 cargo test -q --features strict
+# the root run tests only the root package; crates/tensor/tests/strict.rs
+# compiles to an empty binary unless glint-tensor itself gets the feature
+cargo test -q -p glint-tensor --features strict
 
 echo "== trace-enabled pass (GLINT_TRACE=1 must refresh a valid BENCH_trace.json) =="
 rm -f BENCH_trace.json

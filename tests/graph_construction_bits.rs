@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
 use glint_suite::core::incremental::{home_graph, mine_all, OracleMiner};
-use glint_suite::graph::builder::{full_graph, GraphBuilder, OnlineBuilder};
+use glint_suite::graph::builder::{full_graph, GraphBuilder, OnlineBuilder, MAX_GAP};
 use glint_suite::graph::{EdgeKind, InteractionGraph, Node};
 use glint_suite::rules::correlation::{
     action_invokes_trigger, action_triggers, effective_affects, Via,
@@ -469,9 +469,9 @@ proptest! {
         let rules = slice(lo, len);
         let log = random_log(rules, seed);
         let (from, to) = (from_h * 3600.0, (from_h + span_h) * 3600.0);
-        let builder = OnlineBuilder::default();
+        let builder = OnlineBuilder;
         let ours = builder.build(rules, &log, from, to, &feat);
-        prop_assert_eq!(ours, ref_online_build(builder.max_gap, rules, &log, from, to));
+        prop_assert_eq!(ours, ref_online_build(MAX_GAP, rules, &log, from, to));
     }
 
     /// `home_graph(mine_all(..))`: the mined pair records, weight bits

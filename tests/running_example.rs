@@ -99,7 +99,7 @@ fn event_log_replay_reconstructs_the_incident_graph() {
         39.9 * 60.0,
         EventKind::RuleFired { rule_id: 5 },
     ));
-    let g = OnlineBuilder::default().build(&rules, &log, 0.0, 3600.0, &node_features);
+    let g = OnlineBuilder.build(&rules, &log, 0.0, 3600.0, &node_features);
     // exactly the five executed rules appear (2, 3, 7, 8 did not run)
     assert_eq!(g.n_nodes(), 5);
     let ids: Vec<u32> = g.nodes().iter().map(|n| n.rule_id.0).collect();

@@ -45,32 +45,11 @@ impl DatasetBundle {
 pub struct OfflineBuilder {
     rules: Vec<Rule>,
     seed: u64,
-    /// Rule-id → embedded features, computed once (text embedding is the
-    /// hot path when sampling thousands of graphs).
-    feature_cache: parking_lot::Mutex<BTreeMap<u32, Vec<f32>>>,
 }
 
 impl OfflineBuilder {
     pub fn new(rules: Vec<Rule>, seed: u64) -> Self {
-        Self {
-            rules,
-            seed,
-            feature_cache: parking_lot::Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    fn cached_features(&self, rule: &Rule) -> Vec<f32> {
-        // One guard for the whole check-compute-insert sequence: the old
-        // lock-check-unlock / lock-insert-unlock pair acquired the mutex
-        // twice per miss (flagged by glint-lint's lock-order pass) and let
-        // two threads race to embed the same rule.
-        let mut cache = self.feature_cache.lock();
-        if let Some(f) = cache.get(&rule.id.0) {
-            return f.clone();
-        }
-        let f = node_features(rule);
-        cache.insert(rule.id.0, f.clone());
-        f
+        Self { rules, seed }
     }
 
     pub fn rules(&self) -> &[Rule] {
@@ -110,9 +89,8 @@ impl OfflineBuilder {
         assert!(!pool.is_empty(), "no rules for {platforms:?}");
         let mut builder = GraphBuilder::new(&pool, self.seed);
         let mut ds = GraphDataset::new();
-        let feature_fn = |r: &Rule| self.cached_features(r);
         for _ in 0..n_graphs {
-            let mut g = builder.sample_graph(2, max_nodes.max(2), &feature_fn);
+            let mut g = builder.sample_graph(2, max_nodes.max(2), &node_features);
             if label {
                 g.label = Some(self.label_graph(&g));
             }
@@ -223,29 +201,6 @@ mod tests {
         let builder = OfflineBuilder::new(small_corpus(), 3);
         let ds = builder.build_dataset(&[Platform::Ifttt], 20, 6, false);
         assert!(ds.iter().all(|g| g.label.is_none()));
-    }
-
-    #[test]
-    fn feature_cache_is_single_guard_and_consistent_under_races() {
-        // Regression for the double-lock in `cached_features`: the old
-        // check/unlock/insert pattern let two threads race to embed the
-        // same rule (and tripped glint-lint's lock-order pass). With one
-        // guard, concurrent callers must agree and never deadlock.
-        let rules = glint_rules::scenarios::table1_rules();
-        let builder = OfflineBuilder::new(rules.clone(), 7);
-        let expected: Vec<Vec<f32>> = rules.iter().map(node_features).collect();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let b = &builder;
-                let rules = &rules;
-                let expected = &expected;
-                s.spawn(move || {
-                    for (r, want) in rules.iter().zip(expected) {
-                        assert_eq!(&b.cached_features(r), want);
-                    }
-                });
-            }
-        });
     }
 
     #[test]

@@ -206,7 +206,7 @@ fn phrase_embedding(space: &EmbeddingSpace, p: &PhraseElements) -> Vec<f32> {
     }
     let mut acc = vec![0.0f32; space.dim()];
     for w in &words {
-        for (a, b) in acc.iter_mut().zip(space.word_vec(w)) {
+        for (a, b) in acc.iter_mut().zip(space.word_vec(w).iter()) {
             *a += b;
         }
     }

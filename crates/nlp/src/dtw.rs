@@ -36,8 +36,8 @@ pub fn word_sequence_similarity(space: &EmbeddingSpace, a: &[String], b: &[Strin
     if a.is_empty() || b.is_empty() {
         return 0.0;
     }
-    let va: Vec<Vec<f32>> = a.iter().map(|w| space.word_vec(w)).collect();
-    let vb: Vec<Vec<f32>> = b.iter().map(|w| space.word_vec(w)).collect();
+    let va: Vec<_> = a.iter().map(|w| space.word_vec(w)).collect();
+    let vb: Vec<_> = b.iter().map(|w| space.word_vec(w)).collect();
     let d = dtw_distance(&va, &vb, |x, y| 1.0 - cosine(x, y));
     let norm = d / a.len().max(b.len()) as f32;
     1.0 / (1.0 + norm)

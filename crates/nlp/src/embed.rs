@@ -2,10 +2,11 @@
 //!
 //! Stand-in for spaCy's `en_core_web_lg` word vectors (300-d) and the
 //! Universal Sentence Encoder (512-d). Each word vector is a convex blend of
-//! three unit-norm prototype vectors, each drawn from an RNG seeded by a
+//! four unit-norm prototype vectors, each drawn from an RNG seeded by a
 //! stable FNV-1a hash:
 //!
-//! `v(word) = 0.62·concept ⊕ 0.28·category ⊕ 0.10·word-noise` (renormalized)
+//! `v(word) = 0.42·concept ⊕ 0.28·family ⊕ 0.20·category ⊕ 0.10·word-noise`
+//! (renormalized)
 //!
 //! so synonyms are nearly identical, same-category words are close, and
 //! unrelated words are near-orthogonal — exactly the geometry the paper's
@@ -13,43 +14,69 @@
 //! space uses an independent hash salt, so the two platforms' feature spaces
 //! are genuinely heterogeneous (a requirement of the metapath projection
 //! stage of ITGNN).
+//!
+//! Like spaCy's vectors, each space is a lookup table: the vectors of the
+//! lexicon's words are derived once per process, on first use, and borrowed
+//! from then on. Only words outside the lexicon are derived per call.
 
 use crate::lexicon::{Category, Lexicon};
 use crate::token::Token;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// An embedding space of a fixed dimension and hash salt.
 #[derive(Clone, Copy, Debug)]
 pub struct EmbeddingSpace {
     dim: usize,
     salt: u64,
+    /// The space's vector table, filled on first use.
+    table: &'static OnceLock<Table>,
+}
+
+/// Vectors that depend only on the space and a word, derived once per
+/// process: every lexicon head word and the `"number"` prototype.
+#[derive(Debug)]
+struct Table {
+    words: BTreeMap<&'static str, Vec<f32>>,
+    number: Vec<f32>,
 }
 
 impl EmbeddingSpace {
     /// The 300-d word space (spaCy stand-in).
     pub fn word_space() -> Self {
+        static TABLE: OnceLock<Table> = OnceLock::new();
         Self {
             dim: crate::WORD_DIM,
             salt: 0x5ac1_77e5,
+            table: &TABLE,
         }
     }
 
     /// The 512-d sentence space (Universal Sentence Encoder stand-in).
     pub fn sentence_space() -> Self {
+        static TABLE: OnceLock<Table> = OnceLock::new();
         Self {
             dim: crate::SENTENCE_DIM,
             salt: 0x05e4_7e4c_0de5_u64,
+            table: &TABLE,
         }
-    }
-
-    /// A custom space (tests / ablations).
-    pub fn custom(dim: usize, salt: u64) -> Self {
-        Self { dim, salt }
     }
 
     pub fn dim(&self) -> usize {
         self.dim
+    }
+
+    fn table(&self) -> &'static Table {
+        self.table.get_or_init(|| Table {
+            words: crate::lexicon::all_entries()
+                .iter()
+                .map(|e| (e.word, self.derive_word_vec(e.word)))
+                .collect(),
+            number: self.unit_vec("number", 4),
+        })
     }
 
     fn unit_vec(&self, key: &str, kind: u64) -> Vec<f32> {
@@ -62,10 +89,19 @@ impl EmbeddingSpace {
         v
     }
 
-    /// Word vector (unit norm). Blends concept, concept *family* (so the
-    /// verb "open", the state "open", and the event "opens" share geometry),
-    /// category prototype, and word-specific noise.
-    pub fn word_vec(&self, word: &str) -> Vec<f32> {
+    /// Word vector (unit norm): a row of the space's table for a lexicon
+    /// word, derived on the spot for any other word.
+    pub fn word_vec(&self, word: &str) -> Cow<'static, [f32]> {
+        match self.table().words.get(word) {
+            Some(v) => Cow::Borrowed(v),
+            None => Cow::Owned(self.derive_word_vec(word)),
+        }
+    }
+
+    /// Blends concept, concept *family* (so the verb "open", the state
+    /// "open", and the event "opens" share geometry), category prototype,
+    /// and word-specific noise.
+    fn derive_word_vec(&self, word: &str) -> Vec<f32> {
         let lex = Lexicon::global();
         let concept = lex.concept_of(word);
         let category = lex.category(word);
@@ -74,73 +110,39 @@ impl EmbeddingSpace {
         let f_vec = self.unit_vec(family, 6);
         let cat_vec = self.unit_vec(category_key(category), 2);
         let w_vec = self.unit_vec(word, 3);
-        let mut v: Vec<f32> = (0..self.dim)
-            .map(|i| 0.42 * c_vec[i] + 0.28 * f_vec[i] + 0.20 * cat_vec[i] + 0.10 * w_vec[i])
+        let mut v: Vec<f32> = c_vec
+            .iter()
+            .zip(&f_vec)
+            .zip(&cat_vec)
+            .zip(&w_vec)
+            .map(|(((c, f), k), w)| 0.42 * c + 0.28 * f + 0.20 * k + 0.10 * w)
             .collect();
         normalize(&mut v);
         v
     }
 
-    /// Averaged word embedding of a token sequence (the paper's rule-level
-    /// node feature). Numeric tokens contribute a magnitude-modulated
-    /// "number" prototype so thresholds are reflected in the embedding.
-    pub fn avg_embedding(&self, tokens: &[Token]) -> Vec<f32> {
-        let mut acc = vec![0.0f32; self.dim];
-        let mut n = 0usize;
-        for t in tokens {
-            let v = match t.value {
-                Some(x) => {
-                    let mut v = self.unit_vec("number", 4);
-                    let scale = (x.abs() + 1.0).ln() / 5.0;
-                    for e in &mut v {
-                        *e *= scale;
-                    }
-                    v
-                }
-                None => {
-                    if crate::stopwords::is_stopword(&t.word) {
-                        continue;
-                    }
-                    self.word_vec(&t.word)
-                }
-            };
-            for (a, b) in acc.iter_mut().zip(&v) {
-                *a += b;
-            }
-            n += 1;
-        }
-        if n > 0 {
-            let inv = 1.0 / n as f32;
-            for a in &mut acc {
-                *a *= inv;
-            }
-        }
-        acc
-    }
-
-    /// Rule-level embedding: category-weighted average of word vectors.
-    /// Devices, channels, and state words carry the discriminative signal
-    /// for interaction analysis, so they are up-weighted relative to glue —
-    /// the standard tf-idf-flavoured weighting a real embedding pipeline
-    /// applies to domain text.
+    /// Rule-level embedding (the paper's node feature): category-weighted
+    /// average of word vectors. Devices, channels, and state words carry
+    /// the discriminative signal for interaction analysis, so they are
+    /// up-weighted relative to glue — the standard tf-idf-flavoured
+    /// weighting a real embedding pipeline applies to domain text. Numeric
+    /// tokens contribute a magnitude-modulated "number" prototype at weight
+    /// 1 so thresholds are reflected in the embedding.
     pub fn rule_embedding(&self, tokens: &[Token]) -> Vec<f32> {
         let lex = Lexicon::global();
+        let table = self.table();
         let mut acc = vec![0.0f32; self.dim];
         let mut total_w = 0.0f32;
         for t in tokens {
-            let (v, w) = match t.value {
+            // a word's vector enters at scale 1, and `x * 1.0 == x` exactly,
+            // so both kinds of token share one accumulation
+            let (v, scale, w) = match t.value {
                 Some(x) => {
-                    let mut v = self.unit_vec("number", 4);
                     let scale = (x.abs() + 1.0).ln() / 5.0;
-                    for e in &mut v {
-                        *e *= scale;
-                    }
-                    (v, 1.0)
+                    (Cow::Borrowed(table.number.as_slice()), scale, 1.0)
                 }
+                None if crate::stopwords::is_stopword(&t.word) => continue,
                 None => {
-                    if crate::stopwords::is_stopword(&t.word) {
-                        continue;
-                    }
                     let w = match lex.category(&t.word) {
                         Category::Device | Category::Channel => 2.5,
                         Category::State => 2.0,
@@ -150,11 +152,11 @@ impl EmbeddingSpace {
                         Category::Agent => 0.5,
                         Category::Misc => 0.3,
                     };
-                    (self.word_vec(&t.word), w)
+                    (self.word_vec(&t.word), 1.0, w)
                 }
             };
-            for (a, b) in acc.iter_mut().zip(&v) {
-                *a += b * w;
+            for (a, b) in acc.iter_mut().zip(v.iter()) {
+                *a += b * scale * w;
             }
             total_w += w;
         }
@@ -165,39 +167,6 @@ impl EmbeddingSpace {
             }
         }
         acc
-    }
-
-    /// Sentence embedding: averaged word vectors plus a bigram component
-    /// (order sensitivity, as USE has).
-    pub fn sentence_embedding(&self, tokens: &[Token]) -> Vec<f32> {
-        let mut acc = self.avg_embedding(tokens);
-        let content: Vec<&str> = tokens
-            .iter()
-            .filter(|t| t.value.is_none() && !crate::stopwords::is_stopword(&t.word))
-            .map(|t| t.word.as_str())
-            .collect();
-        let mut n = 0;
-        let mut bigram = vec![0.0f32; self.dim];
-        for w in content.windows(2) {
-            let key = format!("{}+{}", w[0], w[1]);
-            let v = self.unit_vec(&key, 5);
-            for (a, b) in bigram.iter_mut().zip(&v) {
-                *a += b;
-            }
-            n += 1;
-        }
-        if n > 0 {
-            let inv = 0.3 / n as f32;
-            for (a, b) in acc.iter_mut().zip(&bigram) {
-                *a += b * inv;
-            }
-        }
-        acc
-    }
-
-    /// Embed raw text (tokenize + average).
-    pub fn embed_text(&self, text: &str) -> Vec<f32> {
-        self.avg_embedding(&crate::token::tokenize(text))
     }
 }
 
@@ -320,9 +289,9 @@ mod tests {
     #[test]
     fn related_rules_embed_close() {
         let s = EmbeddingSpace::word_space();
-        let a = s.embed_text("If smoke is detected, open the window");
-        let b = s.embed_text("Open the windows when the smoke alarm beeps");
-        let c = s.embed_text("Play music in the living room at 3 pm");
+        let a = s.rule_embedding(&tokenize("If smoke is detected, open the window"));
+        let b = s.rule_embedding(&tokenize("Open the windows when the smoke alarm beeps"));
+        let c = s.rule_embedding(&tokenize("Play music in the living room at 3 pm"));
         assert!(
             cosine(&a, &b) > cosine(&a, &c),
             "related rule texts must be closer"
@@ -332,10 +301,10 @@ mod tests {
     #[test]
     fn numeric_tokens_modulate_embedding() {
         let s = EmbeddingSpace::word_space();
-        let lo = s.avg_embedding(&tokenize("temperature above 30 degrees"));
-        let hi = s.avg_embedding(&tokenize("temperature above 100 degrees"));
+        let lo = s.rule_embedding(&tokenize("temperature above 30 degrees"));
+        let hi = s.rule_embedding(&tokenize("temperature above 100 degrees"));
         assert!(lo != hi, "different thresholds must embed differently");
-        let unrelated = s.avg_embedding(&tokenize("play music loudly"));
+        let unrelated = s.rule_embedding(&tokenize("play music loudly"));
         assert!(cosine(&lo, &hi) > cosine(&lo, &unrelated));
     }
 

@@ -14,7 +14,8 @@
 //!    trigger/action split on discourse markers (if/when/then);
 //! 4. [`embed`] — 300-d word vectors and 512-d sentence vectors built from
 //!    concept/category prototypes so semantically related rule texts are
-//!    close in embedding space (the property the downstream GNN needs);
+//!    close in embedding space (the property the downstream GNN needs),
+//!    looked up in a per-space table of the lexicon's words;
 //! 5. [`wordnet`] — synonym/hypernym/meronym/holonym queries over the
 //!    smart-home vocabulary (Algorithm 1 lines 5–6);
 //! 6. [`dtw`] — dynamic time warping similarity over token-embedding

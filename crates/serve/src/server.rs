@@ -291,9 +291,13 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
             stream,
             admitted_at: clock::now(),
         };
+        // Count the admission before a worker can see the job: a request
+        // answered at once (`GET /metrics` on an idle worker) must find
+        // itself in `accepted`. The queue lock orders this increment
+        // before the worker's pop.
+        shared.metrics.accepted.fetch_add(1, Ordering::Relaxed);
         match shared.queue.try_push(job) {
             Ok(depth) => {
-                shared.metrics.accepted.fetch_add(1, Ordering::Relaxed);
                 if glint_trace::enabled() {
                     glint_trace::counter("serve.accepted", 1);
                     glint_trace::gauge("serve.queue.depth", depth as f64);
@@ -302,6 +306,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
             Err(PushError::Full(job)) => {
                 // Admission control: never queue unboundedly. Shed with
                 // 429 + Retry-After, synchronously, from this thread.
+                shared.metrics.accepted.fetch_sub(1, Ordering::Relaxed);
                 shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
                 if glint_trace::enabled() {
                     glint_trace::counter("serve.shed", 1);
@@ -320,7 +325,10 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                 http::drain_request(&mut stream, shared.cfg.max_body_bytes);
                 let _ = http::write_response(&mut stream, 429, &body, &[("Retry-After", &retry)]);
             }
-            Err(PushError::Closed(_)) => break,
+            Err(PushError::Closed(_)) => {
+                shared.metrics.accepted.fetch_sub(1, Ordering::Relaxed);
+                break;
+            }
         }
     }
     shared.queue.close();

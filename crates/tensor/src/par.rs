@@ -231,12 +231,12 @@ pub fn t_spmm(a: &Csr, h: &Matrix) -> Matrix {
 }
 
 /// Map `f` over `0..n` on the configured number of threads, preserving input
-/// order in the output. Items are dealt round-robin to workers, each worker
-/// runs serially (nested kernels see a `with_threads(1)` override), and the
-/// results are reassembled by index — so the output is identical to
-/// `(0..n).map(f).collect()` regardless of thread count. This is the
-/// batching primitive behind `glint-gnn`'s mini-batch gradient accumulation
-/// and `glint-core`'s batch scoring.
+/// order in the output. Each worker takes one contiguous range of items
+/// from `partition` and runs it serially (nested kernels see a
+/// `with_threads(1)` override), writing each result into its own slot, so
+/// the output is identical to `(0..n).map(f).collect()` regardless of
+/// thread count. This is the batching primitive behind `glint-gnn`'s
+/// mini-batch gradient accumulation and `glint-core`'s batch scoring.
 pub fn ordered_map<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,

@@ -38,12 +38,13 @@ GLINT_THREADS=1 cargo test --workspace -q
 echo "== kernel bit pins at the benchmark's optimization level (release, default + serial) =="
 # The kernel oracle (kernel_bits), the parallel-equivalence properties
 # (par_props), the trained-parameter checksums (train_bits), the
-# tape-vs-tape-free forward bits (infer_equiv) and the explanation pin
-# (explain_bits) must hold in the release profile the benchmark ships, not
-# only in the test profile: the optimization level decides how LLVM
-# vectorizes the kernels.
-cargo test --release -q -p glint-tensor -p glint-gnn -p glint-core
-GLINT_THREADS=1 cargo test --release -q -p glint-tensor -p glint-gnn -p glint-core
+# tape-vs-tape-free forward bits (infer_equiv), the explanation pin
+# (explain_bits), the NLP feature pin (feature_bits) and glint-nlp's own
+# tests must hold in the release profile the benchmark ships, not only in
+# the test profile: the optimization level decides how LLVM vectorizes the
+# kernels and the embedding loops.
+cargo test --release -q -p glint-tensor -p glint-gnn -p glint-nlp -p glint-core
+GLINT_THREADS=1 cargo test --release -q -p glint-tensor -p glint-gnn -p glint-nlp -p glint-core
 
 echo "== benchmark package (e2ebench/ builds against the workspace and passes its tests) =="
 # e2ebench/ is a package of its own (empty [workspace] table), so neither the

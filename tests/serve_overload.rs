@@ -19,12 +19,12 @@
 //! mutex like the fault-injection matrix does.
 
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 use glint_suite::core::construction::OfflineBuilder;
 use glint_suite::core::drift::DriftDetector;
-use glint_suite::core::GlintDetector;
+use glint_suite::core::{DeadlinePressure, Detection, GlintDetector};
 use glint_suite::failpoint::{Action, ScopedFail};
 use glint_suite::gnn::batch::{GraphSchema, PreparedGraph};
 use glint_suite::gnn::models::{Itgnn, ItgnnConfig};
@@ -32,7 +32,7 @@ use glint_suite::gnn::trainer::{ClassifierTrainer, ContrastiveTrainer, TrainConf
 use glint_suite::graph::InteractionGraph;
 use glint_suite::rules::scenarios::table1_rules;
 use glint_suite::rules::Platform;
-use glint_suite::serve::{client, ServeConfig, Server, SITE_RESPOND};
+use glint_suite::serve::{client, Scorer, ServeConfig, Server, SITE_RESPOND};
 use serde_json::{json, Value};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -88,6 +88,60 @@ fn fixture() -> &'static Fixture {
     })
 }
 
+#[derive(Default)]
+struct Gate {
+    entered: bool,
+    open: bool,
+}
+
+/// A scorer whose first call waits until the test opens its gate, so the
+/// test decides how long the worker that takes it stays busy.
+struct Gated {
+    inner: Arc<dyn Scorer>,
+    gate: Mutex<Gate>,
+    changed: Condvar,
+}
+
+impl Gated {
+    fn new(inner: Arc<dyn Scorer>) -> Self {
+        Self {
+            inner,
+            gate: Mutex::new(Gate::default()),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// Block until `ready` holds; fail after 30 s instead of hanging.
+    fn wait(&self, ready: impl Fn(&Gate) -> bool) {
+        let gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
+        let (_gate, waited) = self
+            .changed
+            .wait_timeout_while(gate, Duration::from_secs(30), |g| !ready(g))
+            .unwrap_or_else(PoisonError::into_inner);
+        assert!(!waited.timed_out(), "gate wait timed out");
+    }
+
+    fn open(&self) {
+        let mut gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
+        gate.open = true;
+        self.changed.notify_all();
+    }
+}
+
+impl Scorer for Gated {
+    fn score(&self, graph: InteractionGraph, pressure: DeadlinePressure) -> Detection {
+        let first = {
+            let mut gate = self.gate.lock().unwrap_or_else(PoisonError::into_inner);
+            !std::mem::replace(&mut gate.entered, true)
+        };
+        if first {
+            self.changed.notify_all();
+            self.wait(|g| g.open);
+        }
+        self.inner.score(graph, pressure)
+    }
+}
+
 fn score_body(graph: &InteractionGraph, deadline_ms: u64) -> Value {
     json!({ "graph": serde_json::to_value(graph), "deadline_ms": deadline_ms })
 }
@@ -109,8 +163,9 @@ fn metric_u64(metrics: &Value, name: &str) -> u64 {
 fn saturated_queue_sheds_with_429_and_answers_every_accepted_request() {
     let _guard = serial();
     let fx = fixture();
+    let scorer = Arc::new(Gated::new(Arc::clone(&fx.detector) as Arc<dyn Scorer>));
     let server = Server::start(
-        Arc::clone(&fx.detector) as Arc<dyn glint_suite::serve::Scorer>,
+        Arc::clone(&scorer) as Arc<dyn Scorer>,
         ServeConfig {
             workers: 1,
             queue_capacity: 2,
@@ -123,12 +178,15 @@ fn saturated_queue_sheds_with_429_and_answers_every_accepted_request() {
     let addr = server.addr();
     let mut sent = 0u64;
 
-    // Pin the single worker on a large batch (write it, defer the read).
+    // Pin the single worker on a batch whose first graph waits at the
+    // gate (write it, defer the read). Once the gate opens, one graph is
+    // left, so the queued requests reach the worker long before their
+    // 500 ms deadline.
     let batch: Vec<Value> = fx
         .graphs
         .iter()
         .cycle()
-        .take(64)
+        .take(2)
         .map(serde_json::to_value)
         .collect();
     let mut occupier = TcpStream::connect(addr).expect("connect occupier");
@@ -143,11 +201,12 @@ fn saturated_queue_sheds_with_429_and_answers_every_accepted_request() {
     )
     .expect("occupier written");
     sent += 1;
-    std::thread::sleep(Duration::from_millis(100));
+    scorer.wait(|g| g.entered);
 
     // Burst 12 more requests while the worker is busy: capacity 2 means
     // at most 2 can queue; the rest must shed immediately.
-    let mut burst = Vec::new();
+    let (answers, answered) = mpsc::channel();
+    let mut readers = Vec::new();
     for graph in fx.graphs.iter().cycle().take(12) {
         let mut stream = TcpStream::connect(addr).expect("connect burst");
         stream
@@ -156,13 +215,36 @@ fn saturated_queue_sheds_with_429_and_answers_every_accepted_request() {
         let body = score_body(graph, 500);
         client::write_request(&mut stream, "POST", "/score", Some(&body)).expect("burst written");
         sent += 1;
-        burst.push(stream);
+        let answers = answers.clone();
+        readers.push(std::thread::spawn(move || {
+            let _ = answers.send(client::read_response(&mut stream));
+        }));
+    }
+    // The queue cannot drain while the gate is shut, so once every burst
+    // request is either queued or answered, admission is decided: open
+    // the gate and collect the queued requests' answers.
+    let mut responses = Vec::new();
+    let next = |responses: &mut Vec<(u16, Value)>| {
+        // every connection gets an answer within the timeout — no hangs
+        let response = answered
+            .recv_timeout(Duration::from_secs(30))
+            .expect("burst reader alive")
+            .expect("burst answered");
+        responses.push(response);
+    };
+    while responses.len() + server.queue_depth() < 12 {
+        next(&mut responses);
+    }
+    scorer.open();
+    while responses.len() < 12 {
+        next(&mut responses);
+    }
+    for reader in readers {
+        reader.join().expect("burst reader finished");
     }
     let mut n200 = 0u64;
     let mut n429 = 0u64;
-    for mut stream in burst {
-        // every connection gets an answer within the timeout — no hangs
-        let (status, body) = client::read_response(&mut stream).expect("burst answered");
+    for (status, body) in responses {
         match status {
             200 => {
                 // accepted under deadline pressure: must ride the ladder

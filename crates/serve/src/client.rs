@@ -6,6 +6,7 @@
 //! open many connections, write every request, and only then collect the
 //! responses — the pattern that actually saturates the admission queue.
 
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -50,13 +51,16 @@ pub fn write_request(
         Some(value) => serde_json::to_string(value).map_err(|e| invalid(&e.to_string()))?,
         None => String::new(),
     };
-    let head = format!(
+    // head and payload leave in one write
+    let mut request = String::with_capacity(160 + payload.len());
+    let _ = write!(
+        request,
         "{method} {path} HTTP/1.1\r\nHost: glint\r\nContent-Type: application/json\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n",
         payload.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(payload.as_bytes())?;
+    request.push_str(&payload);
+    stream.write_all(request.as_bytes())?;
     stream.flush()
 }
 
@@ -81,7 +85,7 @@ fn parse_response(raw: &str) -> std::io::Result<(u16, Value)> {
     let value = if body.trim().is_empty() {
         Value::Null
     } else {
-        serde_json::from_str(body).unwrap_or(Value::Null)
+        serde_json::parse(body).unwrap_or(Value::Null)
     };
     Ok((status, value))
 }

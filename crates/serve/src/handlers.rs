@@ -119,7 +119,7 @@ fn score_one(shared: &Shared, graph: InteractionGraph, deadline: Instant) -> Det
 }
 
 fn handle_score(shared: &Shared, body: &str, admitted_at: Instant) -> (u16, Value) {
-    let parsed: Value = match serde_json::from_str(body) {
+    let parsed = match serde_json::parse(body) {
         Ok(v) => v,
         Err(e) => return (400, error_body("bad_json", &e.to_string())),
     };
@@ -142,7 +142,7 @@ fn handle_score(shared: &Shared, body: &str, admitted_at: Instant) -> (u16, Valu
 /// more pressure — a batch that started comfortably may finish on the
 /// drift-only or quarantined rung, with the rung visible per-slot.
 fn handle_score_batch(shared: &Shared, body: &str, admitted_at: Instant) -> (u16, Value) {
-    let parsed: Value = match serde_json::from_str(body) {
+    let parsed = match serde_json::parse(body) {
         Ok(v) => v,
         Err(e) => return (400, error_body("bad_json", &e.to_string())),
     };
@@ -175,7 +175,7 @@ fn handle_score_batch(shared: &Shared, body: &str, admitted_at: Instant) -> (u16
 }
 
 fn handle_feedback(shared: &Shared, body: &str) -> (u16, Value) {
-    let parsed: Value = match serde_json::from_str(body) {
+    let parsed = match serde_json::parse(body) {
         Ok(v) => v,
         Err(e) => return (400, error_body("bad_json", &e.to_string())),
     };

@@ -2,8 +2,15 @@
 //! the slice of the protocol the four endpoints need (no keep-alive, no
 //! chunked encoding, `Connection: close` on every exchange), so the whole
 //! wire layer stays dependency-free and auditable.
+//!
+//! The head is read in 2 KB chunks up to its `\r\n\r\n`. The body then
+//! goes into one buffer of exactly `Content-Length` bytes, which the
+//! socket fills in place after the body bytes that came with the head;
+//! that buffer becomes the request's `String` without another copy. A
+//! response leaves in one `write_all` of head and body.
 
-use std::io::{Read, Write};
+use std::fmt::Write as _;
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 
 /// The request head may not exceed this (method line + headers).
@@ -84,15 +91,18 @@ fn read_request_impl(stream: &mut TcpStream, max_body: usize) -> std::io::Result
     if content_length > max_body {
         return Err(invalid("request body exceeds the server limit"));
     }
-    let mut body_bytes: Vec<u8> = buf.get(head_len..).unwrap_or(&[]).to_vec();
-    while body_bytes.len() < content_length {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(invalid("connection closed mid-body"));
-        }
-        body_bytes.extend_from_slice(chunk.get(..n).unwrap_or(&[]));
-    }
-    body_bytes.truncate(content_length);
+    // One buffer of exactly `Content-Length` bytes: the body bytes that
+    // arrived with the head, then the socket fills the rest in place.
+    let early = buf.get(head_len..).unwrap_or_default();
+    let early = early.get(..content_length).unwrap_or(early);
+    let mut body_bytes = Vec::with_capacity(content_length);
+    body_bytes.extend_from_slice(early);
+    body_bytes.resize(content_length, 0);
+    let rest = body_bytes.get_mut(early.len()..).unwrap_or_default();
+    stream.read_exact(rest).map_err(|e| match e.kind() {
+        ErrorKind::UnexpectedEof => invalid("connection closed mid-body"),
+        _ => e,
+    })?;
     let body = String::from_utf8(body_bytes).map_err(|_| invalid("request body is not UTF-8"))?;
     Ok(Request { method, path, body })
 }
@@ -110,22 +120,28 @@ fn reason(status: u16) -> &'static str {
 }
 
 /// Write a complete JSON response (`Connection: close` — one exchange
-/// per connection keeps the worker loop trivially stateless).
+/// per connection keeps the worker loop trivially stateless). Head and
+/// body leave in one `write_all`, so no segment waits on another.
 pub(crate) fn write_response(
     stream: &mut TcpStream,
     status: u16,
     body: &str,
     extra_headers: &[(&str, &str)],
 ) -> std::io::Result<()> {
-    let mut head = format!("HTTP/1.1 {} {}\r\n", status, reason(status));
-    head.push_str("Content-Type: application/json\r\n");
-    head.push_str(&format!("Content-Length: {}\r\n", body.len()));
+    let mut out = String::with_capacity(128 + body.len());
+    // `fmt::Write` into a `String` cannot fail
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n",
+        reason(status),
+        body.len()
+    );
     for (name, value) in extra_headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
+        let _ = write!(out, "{name}: {value}\r\n");
     }
-    head.push_str("Connection: close\r\n\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    out.push_str("Connection: close\r\n\r\n");
+    out.push_str(body);
+    stream.write_all(out.as_bytes())?;
     stream.flush()
 }
 

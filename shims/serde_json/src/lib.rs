@@ -2,7 +2,18 @@
 //! a JSON text layer over the shim `serde` crate's [`Value`] tree, plus the
 //! [`json!`] macro. Output is self-consistent (round-trips through this
 //! shim) but not guaranteed byte-identical to upstream serde_json.
+//!
+//! Both directions run in one linear pass. The writer formats numbers and
+//! escapes straight into its output buffer. The reader copies each run of
+//! string bytes up to the next `"` or `\` in one step and validates only
+//! that run, so a document costs its length, whatever its strings hold.
+//! [`parse`] builds the [`Value`] tree once; [`from_str`] then converts it,
+//! which for `T = Value` is a second, cloned tree. A `\u` surrogate pair
+//! decodes to one character, as RFC 8259 writes non-BMP characters; a lone
+//! or reversed surrogate is an error. Every malformed input is a typed
+//! [`Error`], never a panic.
 
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 
 use serde::{Deserialize, Serialize};
@@ -120,12 +131,16 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::I64(x) => out.push_str(&x.to_string()),
-        Value::U64(x) => out.push_str(&x.to_string()),
+        // `fmt::Write` into a `String` cannot fail
+        Value::I64(x) => {
+            let _ = write!(out, "{x}");
+        }
+        Value::U64(x) => {
+            let _ = write!(out, "{x}");
+        }
         Value::F64(x) => {
             if x.is_finite() {
-                let s = format!("{x:?}");
-                out.push_str(&s);
+                let _ = write!(out, "{x:?}");
             } else {
                 // upstream serde_json refuses non-finite floats; the shim
                 // writes null so diverged training runs can still be logged
@@ -187,7 +202,9 @@ fn write_escaped(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -349,63 +366,79 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next `"` or `\` in one step. Both are
+            // ASCII, and an ASCII byte never occurs inside a multi-byte
+            // UTF-8 sequence, so the run holds whole characters and only
+            // its own bytes need checking.
+            let rest = self.bytes.get(self.pos..).unwrap_or_default();
+            let Some(len) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
+                return Err(Error::msg("unterminated string"));
+            };
+            let (run, tail) = rest.split_at(len);
+            out.push_str(std::str::from_utf8(run).map_err(|_| Error::msg("invalid utf8"))?);
+            self.pos += len + 1;
+            if tail.first() == Some(&b'"') {
+                return Ok(out);
+            }
             match self.peek() {
-                None => return Err(Error::msg("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{0008}'),
+                Some(b'f') => out.push('\u{000c}'),
+                Some(b'u') => {
+                    let code = self.hex4(self.pos + 1)?;
+                    self.pos += 4;
+                    let code = if (0xd800..0xdc00).contains(&code) {
+                        self.low_surrogate()
+                            .map(|low| 0x1_0000 + ((code - 0xd800) << 10) + (low - 0xdc00))
+                            .unwrap_or(code)
+                    } else {
+                        code
+                    };
+                    out.push(
+                        char::from_u32(code).ok_or_else(|| Error::msg("invalid \\u codepoint"))?,
+                    );
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| Error::msg("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| Error::msg("non-utf8 \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::msg("bad \\u escape"))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::msg("invalid \\u codepoint"))?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => {
-                            return Err(Error::msg(format!(
-                                "bad escape {:?}",
-                                other.map(|c| c as char)
-                            )))
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // consume one UTF-8 character
-                    let start = self.pos;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| Error::msg("invalid utf8"))?;
-                    let c = s
-                        .chars()
-                        .next()
-                        .ok_or_else(|| Error::msg("unterminated string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                other => {
+                    return Err(Error::msg(format!(
+                        "bad escape {:?}",
+                        other.map(|c| c as char)
+                    )))
                 }
             }
+            self.pos += 1;
         }
+    }
+
+    /// The four hex digits of a `\u` escape starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32> {
+        let hex = self
+            .bytes
+            .get(at..at + 4)
+            .ok_or_else(|| Error::msg("truncated \\u escape"))?;
+        u32::from_str_radix(
+            std::str::from_utf8(hex).map_err(|_| Error::msg("non-utf8 \\u escape"))?,
+            16,
+        )
+        .map_err(|_| Error::msg("bad \\u escape"))
+    }
+
+    /// After a high surrogate's last hex digit: consume a following
+    /// `\uDC00`-`\uDFFF` escape and return its code unit. Anything else is
+    /// left unread, so the high surrogate stays lone and is refused.
+    fn low_surrogate(&mut self) -> Option<u32> {
+        if self.bytes.get(self.pos + 1..self.pos + 3) != Some(b"\\u") {
+            return None;
+        }
+        let low = self.hex4(self.pos + 3).ok()?;
+        (0xdc00..0xe000).contains(&low).then(|| {
+            self.pos += 6;
+            low
+        })
     }
 
     fn number(&mut self) -> Result<Value> {

@@ -18,6 +18,7 @@
 //! The fail-point registry is process-global, so tests serialise on one
 //! mutex like the fault-injection matrix does.
 
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
@@ -412,5 +413,80 @@ fn malformed_requests_get_typed_400s_not_hangs() {
     .expect("answered");
     assert_eq!(status, 200);
     assert_eq!(body_field(&body, "stored").and_then(Value::as_u64), Some(1));
+    server.shutdown();
+}
+
+/// A string-heavy body well under the 4 MiB limit: about 2 MB of
+/// 8-character strings where the graph should be. The JSON reader takes
+/// it in one linear pass, so the typed `400` arrives in milliseconds. A
+/// reader that re-checks the rest of the document at every character
+/// (quadratic in the body size) holds the worker for about a minute.
+#[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test bounds the wall time of one refused request"
+)]
+fn string_heavy_body_gets_a_typed_400_in_linear_time() {
+    let _guard = serial();
+    let fx = fixture();
+    let server = Server::start(
+        Arc::clone(&fx.detector) as Arc<dyn glint_suite::serve::Scorer>,
+        ServeConfig::default(),
+    )
+    .expect("bind loopback");
+    let words: Vec<Value> = (0..190_000)
+        .map(|i| Value::Str(format!("w{i:07}")))
+        .collect();
+    let body = json!({ "graph": words });
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("timeout");
+    let started = std::time::Instant::now();
+    client::write_request(&mut stream, "POST", "/score", Some(&body)).expect("written");
+    let (status, reply) = client::read_response(&mut stream).expect("answered within 20 s");
+    let elapsed = started.elapsed();
+    assert_eq!(status, 400, "{reply:?}");
+    let kind = body_field(&reply, "error")
+        .and_then(|e| body_field(e, "kind"))
+        .and_then(Value::as_str);
+    assert_eq!(kind, Some("bad_graph"));
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "a 2 MB body took {elapsed:?} to refuse"
+    );
+    server.shutdown();
+}
+
+/// Python's `json.dumps` writes every non-BMP character as a UTF-16
+/// surrogate pair, so a hub's note with an emoji arrives as
+/// `\ud83d\ude00`. The raw request bytes carry the escapes as written.
+#[test]
+fn feedback_note_with_a_surrogate_pair_is_stored() {
+    let _guard = serial();
+    let fx = fixture();
+    let server = Server::start(
+        Arc::clone(&fx.detector) as Arc<dyn glint_suite::serve::Scorer>,
+        ServeConfig::default(),
+    )
+    .expect("bind loopback");
+    let graph = serde_json::to_string(&fx.graphs[0]).expect("graph serializes");
+    let body = format!(r#"{{"graph":{graph},"verdict":"Threat","note":"caf\u00e9 \ud83d\ude00"}}"#);
+    let request = format!(
+        "POST /feedback HTTP/1.1\r\nHost: glint\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    stream.write_all(request.as_bytes()).expect("written");
+    let (status, reply) = client::read_response(&mut stream).expect("answered");
+    assert_eq!(status, 200, "{reply:?}");
+    assert_eq!(
+        body_field(&reply, "stored").and_then(Value::as_u64),
+        Some(1)
+    );
     server.shutdown();
 }

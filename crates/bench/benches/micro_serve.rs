@@ -133,11 +133,7 @@ fn score_body(graph: &InteractionGraph, deadline_ms: Option<u64>) -> Value {
 }
 
 fn metric_u64(metrics: &Value, name: &str) -> u64 {
-    metrics
-        .as_map()
-        .and_then(|m| m.iter().find(|(k, _)| k == name))
-        .and_then(|(_, v)| v.as_u64())
-        .unwrap_or(0)
+    metrics.get(name).and_then(Value::as_u64).unwrap_or(0)
 }
 
 fn percentile(sorted_ms: &[f64], pct: usize) -> f64 {
@@ -229,9 +225,8 @@ fn measure_overload(
         sent += 1;
         assert_eq!(status, 200);
         let rung = body
-            .as_map()
-            .and_then(|m| m.iter().find(|(k, _)| k == "degradation"))
-            .and_then(|(_, v)| v.as_str())
+            .get("degradation")
+            .and_then(Value::as_str)
             .unwrap_or("")
             .to_string();
         assert_eq!(
@@ -335,11 +330,7 @@ fn run() -> Snapshot {
     let detector = Arc::new(detector);
     let (qps, p50, p95, p99) = measure_latency(Arc::clone(&detector), &graphs);
     let (overload_sent, metrics) = measure_overload(detector, &graphs);
-    let verdicts = metrics
-        .as_map()
-        .and_then(|m| m.iter().find(|(k, _)| k == "verdicts"))
-        .map(|(_, v)| v.clone())
-        .unwrap_or(Value::Null);
+    let verdicts = metrics.get("verdicts").cloned().unwrap_or(Value::Null);
     Snapshot {
         qps,
         p50,

@@ -281,11 +281,8 @@ pub fn bench_scale_path() -> std::path::PathBuf {
 /// the file or the field is absent or malformed.
 pub fn snapshot_f64(path: &std::path::Path, name: &str) -> Option<f64> {
     let text = std::fs::read_to_string(path).ok()?;
-    let value: serde_json::Value = serde_json::from_str(&text).ok()?;
-    let top = value.as_map()?;
-    top.iter()
-        .find(|(k, _)| k == name)
-        .and_then(|(_, v)| v.as_f64())
+    let value = serde_json::parse(&text).ok()?;
+    value.get(name)?.as_f64()
 }
 
 /// Read one counter out of an exported trace snapshot (`BENCH_trace.json`
@@ -293,16 +290,8 @@ pub fn snapshot_f64(path: &std::path::Path, name: &str) -> Option<f64> {
 /// section, or the counter itself is absent or malformed.
 pub fn snapshot_counter(path: &std::path::Path, name: &str) -> Option<u64> {
     let text = std::fs::read_to_string(path).ok()?;
-    let value: serde_json::Value = serde_json::from_str(&text).ok()?;
-    let top = value.as_map()?;
-    let counters = top
-        .iter()
-        .find(|(k, _)| k == "counters")
-        .and_then(|(_, v)| v.as_map())?;
-    counters
-        .iter()
-        .find(|(k, _)| k == name)
-        .and_then(|(_, v)| v.as_u64())
+    let value = serde_json::parse(&text).ok()?;
+    value.get("counters")?.get(name)?.as_u64()
 }
 
 /// Wall-clock helper.

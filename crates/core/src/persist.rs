@@ -1,16 +1,17 @@
 //! Model persistence: save/load trained parameter sets (the cloud-provided
 //! "public GNN model" of §3.1 needs to ship to home hubs somehow).
 //!
-//! Parameters travel inside the durable envelope (checksummed, versioned,
-//! atomic temp-file + rename), so a crash mid-save leaves the previous model
-//! readable and a torn or bit-flipped file is rejected with a typed error.
+//! Parameters travel as serde_json bytes inside the durable envelope
+//! (checksummed, versioned, atomic temp-file + rename), so a crash mid-save
+//! leaves the previous model readable, and a torn, bit-flipped or
+//! envelope-less file is rejected with a typed error.
 //! [`load_params`] is strict — every tensor must restore, or the whole load
 //! fails with a matched-vs-expected report. [`load_params_partial`] keeps
 //! the lenient by-name/shape matching that cross-platform transfer learning
 //! (§3.3.4) relies on.
 
 use crate::error::GlintError;
-use glint_failpoint::durable::{self, DurableError};
+use glint_failpoint::durable;
 use glint_gnn::models::GraphModel;
 use glint_tensor::ParamSet;
 use std::path::Path;
@@ -24,30 +25,16 @@ pub const SITE_PERSIST_SAVE: &str = "persist.save";
 
 /// Save a model's parameters durably (atomic write, CRC-checked envelope).
 pub fn save_params(model: &dyn GraphModel, path: impl AsRef<Path>) -> Result<(), GlintError> {
-    let json = serde_json::to_string(model.params())
+    let json = serde_json::to_vec(model.params())
         .map_err(|e| GlintError::Decode(format!("serialize: {e}")))?;
-    durable::write_durable(
-        SITE_PERSIST_SAVE,
-        path,
-        PARAMS_KIND,
-        PARAMS_VERSION,
-        json.as_bytes(),
-    )?;
+    durable::write_durable(SITE_PERSIST_SAVE, path, PARAMS_KIND, PARAMS_VERSION, &json)?;
     Ok(())
 }
 
-/// Read a parameter set off disk, verifying the envelope when present and
-/// falling back to the legacy bare-JSON format otherwise.
+/// Read a parameter set off disk and verify its envelope.
 fn read_param_set(path: impl AsRef<Path>) -> Result<ParamSet, GlintError> {
-    let bytes = std::fs::read(path.as_ref()).map_err(DurableError::Io)?;
-    let text = match durable::parse_envelope(&bytes, PARAMS_KIND, PARAMS_VERSION) {
-        Ok((_version, payload)) => String::from_utf8(payload)
-            .map_err(|_| GlintError::Decode("payload is not UTF-8".into()))?,
-        Err(DurableError::NotAnEnvelope(_)) => String::from_utf8(bytes)
-            .map_err(|_| GlintError::Decode("file is neither envelope nor UTF-8 JSON".into()))?,
-        Err(e) => return Err(e.into()),
-    };
-    serde_json::from_str(&text).map_err(|e| GlintError::Decode(format!("parse: {e}")))
+    let (_version, payload) = durable::read_durable(path, PARAMS_KIND, PARAMS_VERSION)?;
+    serde_json::from_slice(&payload).map_err(|e| GlintError::Decode(format!("parse: {e}")))
 }
 
 /// Load parameters into a freshly-constructed model of the same
@@ -84,6 +71,7 @@ pub fn load_params_partial(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use glint_failpoint::durable::DurableError;
     use glint_gnn::batch::PreparedGraph;
     use glint_gnn::models::{GcnModel, GinModel, ModelConfig};
     use glint_gnn::trainer::ClassifierTrainer;
@@ -216,6 +204,14 @@ mod tests {
         assert!(matches!(
             load_params(&mut m, &corrupt),
             Err(GlintError::Envelope(DurableError::ChecksumMismatch))
+        ));
+
+        // bare JSON, without the envelope, is not a params file
+        let bare = dir.join("bare.json");
+        std::fs::write(&bare, serde_json::to_vec(model.params()).unwrap()).unwrap();
+        assert!(matches!(
+            load_params(&mut m, &bare),
+            Err(GlintError::Envelope(DurableError::NotAnEnvelope(_)))
         ));
         std::fs::remove_file(&path).ok();
     }

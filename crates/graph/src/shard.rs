@@ -30,11 +30,8 @@ pub const SHARD_KIND: &str = "glint-shard";
 pub const SHARD_VERSION: u32 = 1;
 /// Manifest file name inside the store directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.json";
-/// Marker key identifying a shard manifest. `graph::store::load` checks for
-/// this key so a manifest fed to the legacy bare-JSON dataset loader is a
-/// typed rejection, never a misparse.
-pub const MANIFEST_MARKER: &str = "glint_shard_manifest";
-/// Current manifest format version (the value stored under the marker key).
+/// Current manifest format version (the manifest's `glint_shard_manifest`
+/// field).
 pub const MANIFEST_VERSION: u64 = 1;
 /// Fail-point site hit by shard and manifest writes in [`ShardedStore::save_shard`]
 /// and [`ShardedStore::remove_shard`].
@@ -135,11 +132,11 @@ pub struct ShardEntry {
     pub platforms: Vec<String>,
 }
 
-/// The manifest: marker + version + the live shard set, sorted by home.
+/// The manifest: format version + the live shard set, sorted by home.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Manifest {
-    /// Always [`MANIFEST_VERSION`]; doubles as the file-type marker that
-    /// `graph::store::load` uses to reject a misfed manifest.
+    /// Always [`MANIFEST_VERSION`]; [`ShardedStore::open`] refuses any
+    /// other value.
     pub glint_shard_manifest: u64,
     pub entries: Vec<ShardEntry>,
 }
@@ -210,14 +207,14 @@ impl ShardedStore {
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, ShardError> {
         let dir = dir.as_ref().to_path_buf();
         let manifest_path = dir.join(MANIFEST_FILE);
-        let text = match std::fs::read_to_string(&manifest_path) {
-            Ok(t) => t,
+        let bytes = match std::fs::read(&manifest_path) {
+            Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Err(ShardError::ManifestMissing(dir));
             }
             Err(e) => return Err(e.into()),
         };
-        let manifest: Manifest = serde_json::from_str(&text)
+        let manifest: Manifest = serde_json::from_slice(&bytes)
             .map_err(|e| ShardError::ManifestCorrupt(format!("parse: {e}")))?;
         if manifest.glint_shard_manifest != MANIFEST_VERSION {
             return Err(ShardError::ManifestCorrupt(format!(
@@ -261,11 +258,11 @@ impl ShardedStore {
     }
 
     fn write_manifest(&self, site: &str) -> Result<(), ShardError> {
-        let json = serde_json::to_string(&self.manifest)
+        let json = serde_json::to_vec(&self.manifest)
             .map_err(|e| ShardError::Decode(format!("serialize manifest: {e}")))?;
         // the manifest is a bare JSON file: the envelope's atomic write
         // without its header
-        durable::write_atomic(site, &self.dir.join(MANIFEST_FILE), json.as_bytes())?;
+        durable::write_atomic(site, &self.dir.join(MANIFEST_FILE), &json)?;
         Ok(())
     }
 
@@ -275,16 +272,15 @@ impl ShardedStore {
     /// [`Self::load_shard`] reports as [`ShardError::StaleShard`] — the
     /// recovery is simply to re-save the shard.
     pub fn save_shard(&mut self, home: u64, dataset: &GraphDataset) -> Result<(), ShardError> {
-        let json = serde_json::to_string(dataset)
+        let payload = serde_json::to_vec(dataset)
             .map_err(|e| ShardError::Decode(format!("serialize: {e}")))?;
-        let payload = json.as_bytes();
         let file = shard_file_name(home);
         durable::write_durable(
             SITE_SHARD_SAVE,
             self.dir.join(&file),
             SHARD_KIND,
             SHARD_VERSION,
-            payload,
+            &payload,
         )?;
         let mut platforms: Vec<String> = dataset
             .iter()
@@ -296,7 +292,7 @@ impl ShardedStore {
         let entry = ShardEntry {
             home,
             file,
-            crc32: durable::crc32(payload),
+            crc32: durable::crc32(&payload),
             graphs: dataset.len(),
             platforms,
         };
@@ -317,8 +313,8 @@ impl ShardedStore {
         let Some(entry) = self.entry(home) else {
             return Err(ShardError::UnknownShard(home));
         };
-        let bytes = std::fs::read(self.dir.join(&entry.file))?;
-        let (_version, payload) = durable::parse_envelope(&bytes, SHARD_KIND, SHARD_VERSION)?;
+        let (_version, payload) =
+            durable::read_durable(self.dir.join(&entry.file), SHARD_KIND, SHARD_VERSION)?;
         let actual_crc = durable::crc32(&payload);
         if actual_crc != entry.crc32 {
             return Err(ShardError::StaleShard {
@@ -327,10 +323,8 @@ impl ShardedStore {
                 actual_crc,
             });
         }
-        let text = String::from_utf8(payload)
-            .map_err(|_| ShardError::Decode("shard payload is not UTF-8".into()))?;
-        let dataset: GraphDataset =
-            serde_json::from_str(&text).map_err(|e| ShardError::Decode(format!("parse: {e}")))?;
+        let dataset: GraphDataset = serde_json::from_slice(&payload)
+            .map_err(|e| ShardError::Decode(format!("parse: {e}")))?;
         for (index, graph) in dataset.graphs().iter().enumerate() {
             if let Err(reason) = graph.validate() {
                 return Err(ShardError::InvalidGraph {

@@ -1,11 +1,11 @@
 //! Durable persistence for graph datasets (DGL's stored-dataset stand-in).
 //!
-//! Datasets are written through the [`glint_failpoint::durable`] envelope:
-//! checksummed, versioned, and renamed into place atomically so a crash
-//! mid-save leaves the previous generation intact instead of a torn file.
-//! Loading a truncated, corrupt, or future-version file is a typed
-//! [`StoreError`] — never a panic. Plain pre-envelope JSON files (the old
-//! format) still load, so existing datasets keep working.
+//! A dataset is written as serde_json bytes inside the
+//! [`glint_failpoint::durable`] envelope: checksummed, versioned, and
+//! renamed into place atomically so a crash mid-save leaves the previous
+//! generation intact instead of a torn file. Loading a truncated, corrupt,
+//! envelope-less or future-version file is a typed [`StoreError`] — never a
+//! panic.
 
 use crate::dataset::GraphDataset;
 use glint_failpoint::durable::{self, DurableError};
@@ -22,21 +22,13 @@ pub const SITE_STORE_SAVE: &str = "graph.store.save";
 /// Why a dataset could not be saved or loaded.
 #[derive(Debug)]
 pub enum StoreError {
-    /// Envelope-level failure: IO, truncation, checksum, version, kind.
+    /// Envelope-level failure: IO, truncation, checksum, version, kind, or
+    /// no envelope at all.
     Envelope(DurableError),
-    /// The bytes verified (or were legacy JSON) but don't decode to a
-    /// dataset.
+    /// The envelope verified but its payload doesn't decode to a dataset.
     Decode(String),
     /// The dataset decoded but contains a structurally invalid graph.
     InvalidGraph { index: usize, reason: String },
-    /// The file is a [`crate::shard`] manifest, not a dataset. Manifests are
-    /// bare JSON like legacy datasets, so without this guard the fallback
-    /// would misparse one; open the *directory* with
-    /// [`crate::shard::ShardedStore::open`] instead.
-    ShardManifest {
-        manifest_version: u64,
-        shards: usize,
-    },
 }
 
 impl fmt::Display for StoreError {
@@ -47,14 +39,6 @@ impl fmt::Display for StoreError {
             StoreError::InvalidGraph { index, reason } => {
                 write!(f, "dataset graph {index} is invalid: {reason}")
             }
-            StoreError::ShardManifest {
-                manifest_version,
-                shards,
-            } => write!(
-                f,
-                "file is a shard manifest (v{manifest_version}, {shards} shards), not a dataset; \
-                 open its directory with graph::shard::ShardedStore::open"
-            ),
         }
     }
 }
@@ -70,55 +54,20 @@ impl From<DurableError> for StoreError {
 /// Save a dataset durably: JSON payload inside a checksummed envelope,
 /// written to a temp file and renamed into place. Hits [`SITE_STORE_SAVE`].
 pub fn save(dataset: &GraphDataset, path: impl AsRef<Path>) -> Result<(), StoreError> {
-    let json = serde_json::to_string(dataset)
-        .map_err(|e| StoreError::Decode(format!("serialize: {e}")))?;
-    durable::write_durable(
-        SITE_STORE_SAVE,
-        path,
-        DATASET_KIND,
-        DATASET_VERSION,
-        json.as_bytes(),
-    )?;
+    let json =
+        serde_json::to_vec(dataset).map_err(|e| StoreError::Decode(format!("serialize: {e}")))?;
+    durable::write_durable(SITE_STORE_SAVE, path, DATASET_KIND, DATASET_VERSION, &json)?;
     Ok(())
 }
 
-/// Load a dataset, verifying checksum and structure. Falls back to the
-/// legacy bare-JSON format when the file predates the envelope. Every
-/// malformed input — torn write, flipped bits, wrong kind, future version,
-/// out-of-range edges — surfaces as a typed [`StoreError`].
+/// Load a dataset, verifying checksum and structure. Every malformed input
+/// — torn write, flipped bits, missing envelope (a shard manifest, say),
+/// wrong kind, future version, out-of-range edges — surfaces as a typed
+/// [`StoreError`].
 pub fn load(path: impl AsRef<Path>) -> Result<GraphDataset, StoreError> {
-    let bytes = std::fs::read(path.as_ref()).map_err(DurableError::Io)?;
-    let text = match durable::parse_envelope(&bytes, DATASET_KIND, DATASET_VERSION) {
-        Ok((_version, payload)) => String::from_utf8(payload)
-            .map_err(|_| StoreError::Decode("payload is not UTF-8".into()))?,
-        // legacy pre-envelope datasets were bare JSON; only the envelope
-        // header's absence routes there, so torn/corrupt envelopes still
-        // surface their typed error
-        Err(DurableError::NotAnEnvelope(_)) => String::from_utf8(bytes)
-            .map_err(|_| StoreError::Decode("file is neither envelope nor UTF-8 JSON".into()))?,
-        Err(e) => return Err(e.into()),
-    };
-    // Shard manifests are also bare JSON; reject them with a pointer to the
-    // right loader instead of misparsing `entries` as an empty dataset.
-    if let Ok(value) = serde_json::parse(&text) {
-        if let Some(map) = value.as_map() {
-            if let Some((_, marker)) = map.iter().find(|(k, _)| k == crate::shard::MANIFEST_MARKER)
-            {
-                let shards = map
-                    .iter()
-                    .find(|(k, _)| k == "entries")
-                    .and_then(|(_, v)| v.as_seq())
-                    .map(|s| s.len())
-                    .unwrap_or(0);
-                return Err(StoreError::ShardManifest {
-                    manifest_version: marker.as_u64().unwrap_or(0),
-                    shards,
-                });
-            }
-        }
-    }
+    let (_version, payload) = durable::read_durable(path, DATASET_KIND, DATASET_VERSION)?;
     let dataset: GraphDataset =
-        serde_json::from_str(&text).map_err(|e| StoreError::Decode(format!("parse: {e}")))?;
+        serde_json::from_slice(&payload).map_err(|e| StoreError::Decode(format!("parse: {e}")))?;
     for (index, graph) in dataset.graphs().iter().enumerate() {
         graph
             .validate()
@@ -175,16 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bare_json_still_loads() {
-        let ds = sample_dataset();
-        let path = tmp("legacy.json");
-        std::fs::write(&path, serde_json::to_string(&ds).unwrap()).unwrap();
-        let loaded = load(&path).unwrap();
-        assert_eq!(loaded.graphs()[0], ds.graphs()[0]);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn truncated_and_garbage_files_are_typed_errors() {
         let ds = sample_dataset();
         let path = tmp("mangle.bin");
@@ -210,7 +149,10 @@ mod tests {
 
         let garbage = tmp("mangle_garbage.bin");
         std::fs::write(&garbage, b"]]] not json, not envelope").unwrap();
-        assert!(matches!(load(&garbage), Err(StoreError::Decode(_))));
+        assert!(matches!(
+            load(&garbage),
+            Err(StoreError::Envelope(DurableError::NotAnEnvelope(_)))
+        ));
     }
 
     #[test]
@@ -220,31 +162,29 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut store = crate::shard::ShardedStore::create(&dir).unwrap();
         store.save_shard(7, &sample_dataset()).unwrap();
-        let err = load(dir.join(crate::shard::MANIFEST_FILE)).unwrap_err();
         assert!(matches!(
-            err,
-            StoreError::ShardManifest {
-                manifest_version: crate::shard::MANIFEST_VERSION,
-                shards: 1,
-            }
+            load(dir.join(crate::shard::MANIFEST_FILE)),
+            Err(StoreError::Envelope(DurableError::NotAnEnvelope(_)))
         ));
-        let msg = err.to_string();
-        assert!(
-            msg.contains("ShardedStore::open"),
-            "error must redirect: {msg}"
-        );
     }
 
     #[test]
     fn out_of_range_edges_from_disk_are_rejected() {
-        // hand-craft a legacy JSON dataset whose edge indexes a missing node
+        // a verified envelope whose dataset has an edge to a missing node
         // (serde bypasses add_edge's assertion)
         let ds = sample_dataset();
         let json = serde_json::to_string(&ds)
             .unwrap()
             .replace("[0,1,", "[0,9,");
-        let path = tmp("bad_edge.json");
-        std::fs::write(&path, json).unwrap();
+        let path = tmp("bad_edge.bin");
+        durable::write_durable(
+            "tests.none",
+            &path,
+            DATASET_KIND,
+            DATASET_VERSION,
+            json.as_bytes(),
+        )
+        .unwrap();
         assert!(matches!(
             load(&path),
             Err(StoreError::InvalidGraph { index: 0, .. })

@@ -1,6 +1,7 @@
 //! CLI entry point: `cargo run -p glint-lint [-- --json] [--root <dir>]`.
-//! Exits 1 when findings exist or the census regressed past the baseline
-//! (CI gates on this), 2 on usage/IO errors.
+//! Exits 1 when findings exist or the census or panic surface regressed
+//! past the baseline (CI gates on this), 2 on usage/IO errors and on a
+//! baseline that lacks either count.
 
 use glint_lint::{lint_workspace_with, report, Config, RuleId, ALL_RULES};
 use std::path::PathBuf;
@@ -99,52 +100,24 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut regressed = false;
-    if let Some(path) = &baseline {
-        let doc = match std::fs::read_to_string(path) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("glint-lint: cannot read baseline {}: {e}", path.display());
+    let regressed = match &baseline {
+        None => false,
+        Some(path) => match std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|doc| report::baseline_gate(&analysis, &doc))
+        {
+            Ok(gate) => {
+                for line in &gate.lines {
+                    eprintln!("glint-lint: {line}");
+                }
+                gate.regressed
+            }
+            Err(why) => {
+                eprintln!("glint-lint: baseline {}: {why}", path.display());
                 return ExitCode::from(2);
             }
-        };
-        let Some(allowed) = report::baseline_total_sites(&doc) else {
-            eprintln!(
-                "glint-lint: baseline {} has no \"total_sites\" field",
-                path.display()
-            );
-            return ExitCode::from(2);
-        };
-        let now = analysis.census.total_sites();
-        if now > allowed {
-            regressed = true;
-            eprintln!(
-                "glint-lint: census regression — {now} allocation sites on the \
-                 inference path, baseline allows {allowed}; either eliminate the \
-                 new allocations or commit the regenerated BENCH_lint.json with \
-                 a rationale"
-            );
-        } else {
-            eprintln!("glint-lint: census {now} site(s) <= baseline {allowed}");
-        }
-        // Panic-surface ratchet: the serving path's panic-capable fn set
-        // can only shrink. (A v2 baseline has no panic_fns field — the
-        // first v3 run establishes it.)
-        if let Some(allowed_fns) = report::baseline_panic_fns(&doc) {
-            let now_fns = analysis.panic_surface.len();
-            if now_fns > allowed_fns {
-                regressed = true;
-                eprintln!(
-                    "glint-lint: panic-surface regression — {now_fns} panic-capable \
-                     fn(s) reachable from the hot entry points, baseline allows \
-                     {allowed_fns}; remove the panicking construct or commit the \
-                     regenerated BENCH_lint.json with a rationale"
-                );
-            } else {
-                eprintln!("glint-lint: panic surface {now_fns} fn(s) <= baseline {allowed_fns}");
-            }
-        }
-    }
+        },
+    };
 
     if analysis.findings.is_empty() && !regressed {
         ExitCode::SUCCESS

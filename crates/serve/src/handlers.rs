@@ -74,12 +74,11 @@ fn route(shared: &Shared, request: &http::Request, admitted_at: Instant) -> (u16
 /// budget, burning from the moment the connection was admitted (queue
 /// wait counts against the client's budget — that is the contract that
 /// makes admission-time 429s honest).
-fn request_deadline(shared: &Shared, fields: &[(String, Value)], admitted_at: Instant) -> Instant {
+fn request_deadline(shared: &Shared, body: &Value, admitted_at: Instant) -> Instant {
     let cap = shared.cfg.deadline_ms.max(1);
-    let requested = fields
-        .iter()
-        .find(|(k, _)| k == "deadline_ms")
-        .and_then(|(_, v)| v.as_u64())
+    let requested = body
+        .get("deadline_ms")
+        .and_then(Value::as_u64)
         .unwrap_or(cap);
     admitted_at + Duration::from_millis(requested.clamp(1, cap))
 }
@@ -123,17 +122,17 @@ fn handle_score(shared: &Shared, body: &str, admitted_at: Instant) -> (u16, Valu
         Ok(v) => v,
         Err(e) => return (400, error_body("bad_json", &e.to_string())),
     };
-    let Some(fields) = parsed.as_map() else {
+    if parsed.as_map().is_none() {
         return (400, error_body("bad_request", "body must be a JSON object"));
-    };
-    let Some(graph_value) = fields.iter().find(|(k, _)| k == "graph").map(|(_, v)| v) else {
+    }
+    let Some(graph_value) = parsed.get("graph") else {
         return (400, error_body("bad_request", "missing `graph` field"));
     };
     let graph: InteractionGraph = match serde_json::from_value(graph_value) {
         Ok(g) => g,
         Err(e) => return (400, error_body("bad_graph", &e.to_string())),
     };
-    let deadline = request_deadline(shared, fields, admitted_at);
+    let deadline = request_deadline(shared, &parsed, admitted_at);
     let detection = score_one(shared, graph, deadline);
     (200, detection_body(&detection))
 }
@@ -146,17 +145,13 @@ fn handle_score_batch(shared: &Shared, body: &str, admitted_at: Instant) -> (u16
         Ok(v) => v,
         Err(e) => return (400, error_body("bad_json", &e.to_string())),
     };
-    let Some(fields) = parsed.as_map() else {
+    if parsed.as_map().is_none() {
         return (400, error_body("bad_request", "body must be a JSON object"));
-    };
-    let Some(graphs) = fields
-        .iter()
-        .find(|(k, _)| k == "graphs")
-        .and_then(|(_, v)| v.as_seq())
-    else {
+    }
+    let Some(graphs) = parsed.get("graphs").and_then(Value::as_seq) else {
         return (400, error_body("bad_request", "missing `graphs` array"));
     };
-    let deadline = request_deadline(shared, fields, admitted_at);
+    let deadline = request_deadline(shared, &parsed, admitted_at);
     let mut results = Vec::with_capacity(graphs.len());
     let mut degraded = 0u64;
     for slot in graphs {
@@ -179,17 +174,17 @@ fn handle_feedback(shared: &Shared, body: &str) -> (u16, Value) {
         Ok(v) => v,
         Err(e) => return (400, error_body("bad_json", &e.to_string())),
     };
-    let Some(fields) = parsed.as_map() else {
+    if parsed.as_map().is_none() {
         return (400, error_body("bad_request", "body must be a JSON object"));
-    };
-    let Some(graph_value) = fields.iter().find(|(k, _)| k == "graph").map(|(_, v)| v) else {
+    }
+    let Some(graph_value) = parsed.get("graph") else {
         return (400, error_body("bad_request", "missing `graph` field"));
     };
     let graph: InteractionGraph = match serde_json::from_value(graph_value) {
         Ok(g) => g,
         Err(e) => return (400, error_body("bad_graph", &e.to_string())),
     };
-    let Some(verdict_value) = fields.iter().find(|(k, _)| k == "verdict").map(|(_, v)| v) else {
+    let Some(verdict_value) = parsed.get("verdict") else {
         return (
             400,
             error_body("bad_request", "missing `verdict` field (Normal|Threat)"),
@@ -199,10 +194,9 @@ fn handle_feedback(shared: &Shared, body: &str) -> (u16, Value) {
         Ok(v) => v,
         Err(e) => return (400, error_body("bad_verdict", &e.to_string())),
     };
-    let note = fields
-        .iter()
-        .find(|(k, _)| k == "note")
-        .and_then(|(_, v)| v.as_str())
+    let note = parsed
+        .get("note")
+        .and_then(Value::as_str)
         .unwrap_or("submitted via /feedback");
     let stored = {
         let mut store = shared

@@ -70,14 +70,14 @@ pub fn save_checkpoint(
     path: impl AsRef<Path>,
     ckpt: &TrainCheckpoint,
 ) -> Result<(), CheckpointError> {
-    let json = serde_json::to_string(ckpt)
-        .map_err(|e| CheckpointError::Decode(format!("serialize: {e}")))?;
+    let json =
+        serde_json::to_vec(ckpt).map_err(|e| CheckpointError::Decode(format!("serialize: {e}")))?;
     durable::write_durable(
         SITE_CHECKPOINT_SAVE,
         path,
         CHECKPOINT_KIND,
         CHECKPOINT_VERSION,
-        json.as_bytes(),
+        &json,
     )?;
     Ok(())
 }
@@ -86,9 +86,7 @@ pub fn save_checkpoint(
 /// future-version files surface as typed errors — never a panic.
 pub fn load_checkpoint(path: impl AsRef<Path>) -> Result<TrainCheckpoint, CheckpointError> {
     let (_version, payload) = durable::read_durable(path, CHECKPOINT_KIND, CHECKPOINT_VERSION)?;
-    let text = String::from_utf8(payload)
-        .map_err(|_| CheckpointError::Decode("payload is not UTF-8".into()))?;
-    serde_json::from_str(&text).map_err(|e| CheckpointError::Decode(format!("parse: {e}")))
+    serde_json::from_slice(&payload).map_err(|e| CheckpointError::Decode(format!("parse: {e}")))
 }
 
 #[cfg(test)]

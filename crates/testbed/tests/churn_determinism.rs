@@ -57,7 +57,7 @@ fn counter_set_is_identical_across_runs() {
 
     // re-parse through the shim and spot-check the ratchet inputs exist
     let value = serde_json::parse(&j1).expect("counter JSON re-parses");
-    let map = value.as_map().expect("counters are an object");
+    assert!(value.as_map().is_some(), "counters are an object");
     for key in [
         "homes",
         "churn_deltas",
@@ -67,7 +67,7 @@ fn counter_set_is_identical_across_runs() {
         "full_reembed",
     ] {
         assert!(
-            map.iter().any(|(k, _)| k == key),
+            value.get(key).is_some(),
             "counter field {key} missing from the serialized set"
         );
     }

@@ -1,11 +1,8 @@
-//! JSON export of the trace registry.
+//! JSON export of the trace registry, written through the serde_json
+//! shim: `BTreeMap` iteration order makes the output deterministic up to
+//! the `*_ns` / `sum` values, and non-finite floats serialize as `null`.
 //!
-//! Hand-rolled writer (the crate is dependency-free): `BTreeMap` iteration
-//! order makes the output deterministic up to the `*_ns` / `sum` values,
-//! non-finite floats serialize as `null` (matching the workspace's
-//! serde_json conventions), and strings are escaped per RFC 8259.
-//!
-//! Layout of an exported document:
+//! Layout of an exported document (pretty-printed, keys in this order):
 //!
 //! ```json
 //! {
@@ -21,132 +18,52 @@
 //! ```
 
 use crate::{Snapshot, HISTOGRAM_EDGES};
-use std::fmt::Write as _;
+use serde_json::{json, Value};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Schema version stamped into every export; bump on layout changes so CI
 /// can reject stale readers.
 pub const SCHEMA_VERSION: u64 = 1;
 
-fn escape_json(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn push_f64(v: f64, out: &mut String) {
-    if v.is_finite() {
-        // `{:?}` always keeps a decimal point or exponent, so the value
-        // round-trips as a JSON number (never bare `inf`/`NaN`).
-        let _ = write!(out, "{v:?}");
-    } else {
-        out.push_str("null");
-    }
+/// One JSON object per registry entry, in name order.
+fn section<T>(entries: &BTreeMap<String, T>, render: impl Fn(&T) -> Value) -> Value {
+    Value::Map(
+        entries
+            .iter()
+            .map(|(name, stat)| (name.clone(), render(stat)))
+            .collect(),
+    )
 }
 
 /// Render a snapshot as a pretty-printed JSON document.
 pub fn to_json(snap: &Snapshot, run: &str) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\n  \"run\": ");
-    escape_json(run, &mut out);
-    let _ = write!(out, ",\n  \"schema\": {SCHEMA_VERSION},\n");
-
-    out.push_str("  \"counters\": {");
-    for (i, (name, v)) in snap.counters.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str("    ");
-        escape_json(name, &mut out);
-        let _ = write!(out, ": {v}");
-    }
-    out.push_str(if snap.counters.is_empty() {
-        "},\n"
-    } else {
-        "\n  },\n"
+    // u64 nanoseconds cover 584 years of span time
+    let ns = |t: u128| u64::try_from(t).unwrap_or(u64::MAX);
+    let doc = json!({
+        "run": run,
+        "schema": SCHEMA_VERSION,
+        "counters": snap.counters,
+        "gauges": section(&snap.gauges, |g| json!({ "last": g.last, "updates": g.updates })),
+        "histograms": section(&snap.histograms, |h| json!({
+            "count": h.count,
+            "nonfinite": h.nonfinite,
+            "sum": h.sum,
+            "min": h.min,
+            "max": h.max,
+            "edges": HISTOGRAM_EDGES,
+            "buckets": h.buckets,
+        })),
+        "spans": section(&snap.spans, |s| json!({
+            "count": s.count,
+            "total_ns": ns(s.total_ns),
+            // a never-entered span keeps its `u128::MAX` sentinel
+            "min_ns": if s.count == 0 { 0 } else { ns(s.min_ns) },
+            "max_ns": ns(s.max_ns),
+        })),
     });
-
-    out.push_str("  \"gauges\": {");
-    for (i, (name, g)) in snap.gauges.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str("    ");
-        escape_json(name, &mut out);
-        out.push_str(": {\"last\": ");
-        push_f64(g.last, &mut out);
-        let _ = write!(out, ", \"updates\": {}}}", g.updates);
-    }
-    out.push_str(if snap.gauges.is_empty() {
-        "},\n"
-    } else {
-        "\n  },\n"
-    });
-
-    out.push_str("  \"histograms\": {");
-    for (i, (name, h)) in snap.histograms.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str("    ");
-        escape_json(name, &mut out);
-        let _ = write!(
-            out,
-            ": {{\"count\": {}, \"nonfinite\": {}, \"sum\": ",
-            h.count, h.nonfinite
-        );
-        push_f64(h.sum, &mut out);
-        out.push_str(", \"min\": ");
-        push_f64(h.min, &mut out);
-        out.push_str(", \"max\": ");
-        push_f64(h.max, &mut out);
-        out.push_str(", \"edges\": [");
-        for (j, e) in HISTOGRAM_EDGES.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            push_f64(*e, &mut out);
-        }
-        out.push_str("], \"buckets\": [");
-        for (j, b) in h.buckets.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{b}");
-        }
-        out.push_str("]}");
-    }
-    out.push_str(if snap.histograms.is_empty() {
-        "},\n"
-    } else {
-        "\n  },\n"
-    });
-
-    out.push_str("  \"spans\": {");
-    for (i, (path, s)) in snap.spans.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str("    ");
-        escape_json(path, &mut out);
-        let min_ns = if s.count == 0 { 0 } else { s.min_ns };
-        let _ = write!(
-            out,
-            ": {{\"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
-            s.count, s.total_ns, min_ns, s.max_ns
-        );
-    }
-    out.push_str(if snap.spans.is_empty() {
-        "}\n"
-    } else {
-        "\n  }\n"
-    });
-
-    out.push_str("}\n");
+    let mut out = serde_json::to_string_pretty(&doc).unwrap_or_default();
+    out.push('\n');
     out
 }
 
@@ -223,24 +140,62 @@ mod tests {
         snap
     }
 
+    fn parsed(snap: &Snapshot, run: &str) -> Value {
+        serde_json::parse(&to_json(snap, run)).unwrap()
+    }
+
     #[test]
     fn renders_all_sections_in_sorted_order() {
-        let doc = to_json(&sample_snapshot(), "unit");
-        assert!(doc.contains("\"run\": \"unit\""));
-        assert!(doc.contains("\"schema\": 1"));
-        let a = doc.find("a.first").unwrap();
-        let b = doc.find("b.second").unwrap();
-        assert!(a < b, "counters must be name-sorted");
-        assert!(doc.contains("\"epoch/forward\": {\"count\": 4"));
-        assert!(doc.contains("\"buckets\": [0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0]"));
+        let doc = parsed(&sample_snapshot(), "unit");
+        let keys: Vec<&str> = doc
+            .as_map()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            ["run", "schema", "counters", "gauges", "histograms", "spans"]
+        );
+        assert_eq!(doc.get("run").and_then(Value::as_str), Some("unit"));
+        assert_eq!(doc.get("schema").and_then(Value::as_u64), Some(1));
+        let counters: Vec<&str> = doc
+            .get("counters")
+            .unwrap()
+            .as_map()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            counters,
+            ["a.first", "b.second"],
+            "counters must be name-sorted"
+        );
+        let span = doc
+            .get("spans")
+            .and_then(|s| s.get("epoch/forward"))
+            .unwrap();
+        assert_eq!(span.get("count").and_then(Value::as_u64), Some(4));
+        let buckets = doc
+            .get("histograms")
+            .and_then(|h| h.get("detector.drift"))
+            .and_then(|h| h.get("buckets"))
+            .unwrap();
+        assert_eq!(
+            buckets,
+            &serde_json::to_value(&[0u64, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0])
+        );
     }
 
     #[test]
     fn empty_snapshot_is_valid_structure() {
-        let doc = to_json(&Snapshot::default(), "empty");
-        assert!(doc.contains("\"counters\": {}"));
-        assert!(doc.contains("\"spans\": {}"));
-        assert!(doc.trim_end().ends_with('}'));
+        let text = to_json(&Snapshot::default(), "empty");
+        assert!(text.ends_with("}\n"));
+        let doc = serde_json::parse(&text).unwrap();
+        for section in ["counters", "gauges", "histograms", "spans"] {
+            assert_eq!(doc.get(section), Some(&Value::Map(Vec::new())), "{section}");
+        }
     }
 
     #[test]
@@ -256,18 +211,49 @@ mod tests {
                 updates: 1,
             },
         );
-        let doc = to_json(&snap, "nf");
-        assert!(doc.contains("\"min\": null"));
-        assert!(doc.contains("\"max\": null"));
-        assert!(doc.contains("{\"last\": null, \"updates\": 1}"));
-        assert!(!doc.contains("inf") && !doc.contains("NaN"));
+        let doc = parsed(&snap, "nf");
+        let hist = doc.get("histograms").and_then(|h| h.get("empty")).unwrap();
+        assert_eq!(hist.get("min"), Some(&Value::Null));
+        assert_eq!(hist.get("max"), Some(&Value::Null));
+        assert_eq!(
+            doc.get("gauges").and_then(|g| g.get("bad")),
+            Some(&json!({ "last": null, "updates": 1u64 }))
+        );
     }
 
+    /// A NaN gauge, a never-hit histogram, a never-entered span and names
+    /// that need escaping: the parsed document, re-serialized compactly.
     #[test]
-    fn string_escaping() {
-        let mut out = String::new();
-        escape_json("a\"b\\c\nd\u{1}", &mut out);
-        assert_eq!(out, "\"a\\\"b\\\\c\\nd\\u0001\"");
+    fn parsed_export_is_pinned() {
+        let mut snap = sample_snapshot();
+        snap.counters.insert("quote\"back\\slash".into(), 3);
+        snap.gauges.insert(
+            "nan\ngauge".into(),
+            GaugeStat {
+                last: f64::NAN,
+                updates: 2,
+            },
+        );
+        snap.histograms
+            .insert("empty\u{1}".into(), HistogramStat::default());
+        snap.spans
+            .insert("never/entered".into(), SpanStat::default());
+        let doc = to_json(&snap, "pin\t\"run\"");
+        let parsed = serde_json::parse(&doc).unwrap();
+        assert_eq!(
+            serde_json::to_string(&parsed).unwrap(),
+            concat!(
+                r#"{"run":"pin\t\"run\"","schema":1,"#,
+                r#""counters":{"a.first":1,"b.second":7,"quote\"back\\slash":3},"#,
+                r#""gauges":{"nan\ngauge":{"last":null,"updates":2},"train.loss":{"last":0.5,"updates":3}},"#,
+                r#""histograms":{"detector.drift":{"count":2,"nonfinite":1,"sum":4.0,"min":1.0,"max":3.0,"#,
+                r#""edges":[0.1,0.25,0.5,1.0,2.0,3.0,5.0,10.0,25.0,100.0],"buckets":[0,0,0,2,0,0,0,0,0,0,0]},"#,
+                r#""empty\u0001":{"count":0,"nonfinite":0,"sum":0.0,"min":null,"max":null,"#,
+                r#""edges":[0.1,0.25,0.5,1.0,2.0,3.0,5.0,10.0,25.0,100.0],"buckets":[0,0,0,0,0,0,0,0,0,0,0]}},"#,
+                r#""spans":{"epoch/forward":{"count":4,"total_ns":100,"min_ns":10,"max_ns":40},"#,
+                r#""never/entered":{"count":0,"total_ns":0,"min_ns":0,"max_ns":0}}}"#,
+            )
+        );
     }
 
     #[test]
@@ -279,7 +265,8 @@ mod tests {
         std::env::remove_var("GLINT_TRACE_DIR");
         assert!(path.ends_with("ci_unit.json"));
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"run\": \"ci/unit\""));
+        let doc = serde_json::parse(&text).unwrap();
+        assert_eq!(doc.get("run").and_then(Value::as_str), Some("ci/unit"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,8 +1,9 @@
 //! # glint-trace
 //!
-//! Dependency-free structured observability for the Glint workspace:
-//! hierarchical spans with monotonic timing, named counters, gauges, and
-//! fixed-bucket histograms behind one process-global registry.
+//! Structured observability for the Glint workspace: hierarchical spans
+//! with monotonic timing, named counters, gauges, and fixed-bucket
+//! histograms behind one process-global registry. Its only dependency is
+//! the serde_json shim, which [`export`] writes through.
 //!
 //! ## Cost model
 //!

@@ -36,7 +36,7 @@ use glint_suite::serve::{client, Scorer, ServeConfig, Server};
 use glint_suite::testbed::attack::{inject, AttackKind};
 use glint_suite::testbed::home::figure10_home;
 use glint_suite::testbed::sim::{SimConfig, Simulator};
-use serde_json::json;
+use serde_json::{json, Value};
 
 fn main() {
     let rules = table1_rules();
@@ -209,28 +209,21 @@ fn serve_mode(detector: GlintDetector<Itgnn, Itgnn>, rules: &[Rule], log: &Event
         let body = json!({ "graph": serde_json::to_value(&graph), "deadline_ms": 1_000u64 });
         match client::post(&addr, "/score", &body) {
             Ok((200, verdict)) => {
-                let fields = verdict.as_map().unwrap_or(&[]);
-                let field = |name: &str| {
-                    fields
-                        .iter()
-                        .find(|(k, _)| k == name)
-                        .map(|(_, v)| v.clone())
-                };
-                let flag = field("verdict").and_then(|v| v.as_str().map(String::from));
-                let rung = field("degradation").and_then(|v| v.as_str().map(String::from));
-                let p = field("threat_probability").and_then(|v| v.as_f64());
+                let flag = verdict.get("verdict").and_then(Value::as_str);
+                let rung = verdict.get("degradation").and_then(Value::as_str);
+                let p = verdict.get("threat_probability").and_then(Value::as_f64);
                 println!(
                     "  window {:>2}h–{:>2}h: p(threat)={} → {} [{}]",
                     w * 3,
                     (w + 1) * 3,
                     p.map_or("null".to_string(), |p| format!("{p:.2}")),
-                    flag.as_deref().unwrap_or("?"),
-                    rung.as_deref().unwrap_or("?"),
+                    flag.unwrap_or("?"),
+                    rung.unwrap_or("?"),
                 );
-                if rung.as_deref() != Some("full") {
+                if rung != Some("full") {
                     degraded += 1;
                 }
-                if flag.as_deref() == Some("threat") {
+                if flag == Some("threat") {
                     first_threat = Some(graph);
                 }
             }

@@ -9,15 +9,10 @@
 //!
 //! Encoding is self-consistent (round-trips within this shim) but is *not*
 //! guaranteed byte-compatible with upstream serde_json.
-#![expect(
-    clippy::disallowed_types,
-    reason = "the shim implements serde's HashMap impls; it sorts map keys on \
-              serialization, so output is order-independent"
-)]
 
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::Hash;
 
 #[cfg(feature = "derive")]
 pub use serde_derive::{Deserialize, Serialize};
@@ -48,6 +43,14 @@ impl Value {
             Value::Map(m) => Some(m),
             _ => None,
         }
+    }
+
+    /// The value under `key`, when `self` is a map that has one.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.as_map()?
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
     }
 
     pub fn as_str(&self) -> Option<&str> {
@@ -120,6 +123,12 @@ impl std::error::Error for Error {}
 /// Render `self` as a [`Value`].
 pub trait Serialize {
     fn to_value(&self) -> Value;
+
+    /// `self` as a [`Value`] to read from: borrowed when `self` already is
+    /// one, so writing a [`Value`] does not copy it.
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 /// Rebuild `Self` from a [`Value`].
@@ -127,11 +136,9 @@ pub trait Deserialize: Sized {
     fn from_value(v: &Value) -> Result<Self, Error>;
 }
 
-/// Lookup helper used by derived code.
-pub fn map_get<'a>(m: &'a [(String, Value)], key: &str) -> Result<&'a Value, Error> {
-    m.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
+/// Lookup helper used by derived code: the field `key` of the map `v`.
+pub fn map_get<'a>(v: &'a Value, key: &str) -> Result<&'a Value, Error> {
+    v.get(key)
         .ok_or_else(|| Error::msg(format!("missing field `{key}`")))
 }
 
@@ -143,17 +150,29 @@ impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
     }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &mut T {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
     }
 }
 
@@ -281,18 +300,6 @@ macro_rules! int_map_key {
     )*};
 }
 int_map_key!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl<K: MapKey, V: Serialize, S> Serialize for HashMap<K, V, S> {
-    fn to_value(&self) -> Value {
-        let mut entries: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.to_key(), v.to_value()))
-            .collect();
-        // deterministic output regardless of hash order
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Map(entries)
-    }
-}
 
 impl<K: MapKey, V: Serialize> Serialize for BTreeMap<K, V> {
     fn to_value(&self) -> Value {
@@ -434,18 +441,6 @@ de_tuple! {
     (5; 0 A, 1 B, 2 C, 3 D, 4 E)
 }
 
-impl<K: MapKey + Eq + Hash, V: Deserialize, S: std::hash::BuildHasher + Default> Deserialize
-    for HashMap<K, V, S>
-{
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_map()
-            .ok_or_else(|| Error::expected("map", v))?
-            .iter()
-            .map(|(k, val)| Ok((K::from_key(k)?, V::from_value(val)?)))
-            .collect()
-    }
-}
-
 impl<K: MapKey + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
     fn from_value(v: &Value) -> Result<Self, Error> {
         v.as_map()
@@ -484,17 +479,5 @@ mod tests {
         // NaN deserializes from null
         assert!(f32::from_value(&Value::Null).unwrap().is_nan());
         let _ = v;
-    }
-
-    #[test]
-    fn map_keys_sorted() {
-        let mut m = HashMap::new();
-        m.insert(2u32, "b".to_string());
-        m.insert(1u32, "a".to_string());
-        let v = m.to_value();
-        let entries = v.as_map().unwrap();
-        assert_eq!(entries[0].0, "1");
-        let back: HashMap<u32, String> = Deserialize::from_value(&v).unwrap();
-        assert_eq!(back, m);
     }
 }

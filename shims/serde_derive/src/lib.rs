@@ -335,12 +335,12 @@ fn gen_struct_de(name: &str, shape: &Shape) -> String {
                 .iter()
                 .map(|f| {
                     format!(
-                        "{f}: ::serde::Deserialize::from_value(::serde::map_get(__m, \"{f}\")?)?"
+                        "{f}: ::serde::Deserialize::from_value(::serde::map_get(__v, \"{f}\")?)?"
                     )
                 })
                 .collect();
             format!(
-                "let __m = __v.as_map().ok_or_else(|| ::serde::Error::expected(\"map\", __v))?;\n\
+                "__v.as_map().ok_or_else(|| ::serde::Error::expected(\"map\", __v))?;\n\
                  Ok({name} {{ {} }})",
                 inits.join(", ")
             )
@@ -423,12 +423,12 @@ fn gen_enum_de(name: &str, variants: &[Variant]) -> String {
                 let inits: Vec<String> = fields
                     .iter()
                     .map(|f| {
-                        format!("{f}: ::serde::Deserialize::from_value(::serde::map_get(__fm, \"{f}\")?)?")
+                        format!("{f}: ::serde::Deserialize::from_value(::serde::map_get(__payload, \"{f}\")?)?")
                     })
                     .collect();
                 map_arms.push(format!(
                     "\"{vname}\" => {{\n\
-                         let __fm = __payload.as_map().ok_or_else(|| ::serde::Error::expected(\"map\", __payload))?;\n\
+                         __payload.as_map().ok_or_else(|| ::serde::Error::expected(\"map\", __payload))?;\n\
                          Ok({name}::{vname} {{ {} }})\n\
                      }}",
                     inits.join(", ")

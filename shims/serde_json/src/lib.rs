@@ -3,18 +3,24 @@
 //! [`json!`] macro. Output is self-consistent (round-trips through this
 //! shim) but not guaranteed byte-identical to upstream serde_json.
 //!
+//! This is the workspace's one JSON text layer: the durable stores, the
+//! serve wire path, trace exports and glint-lint's reports all read and
+//! write JSON through it.
+//!
 //! Both directions run in one linear pass. The writer formats numbers and
-//! escapes straight into its output buffer. The reader copies each run of
-//! string bytes up to the next `"` or `\` in one step and validates only
-//! that run, so a document costs its length, whatever its strings hold.
-//! [`parse`] builds the [`Value`] tree once; [`from_str`] then converts it,
-//! which for `T = Value` is a second, cloned tree. A `\u` surrogate pair
-//! decodes to one character, as RFC 8259 writes non-BMP characters; a lone
-//! or reversed surrogate is an error. Every malformed input is a typed
-//! [`Error`], never a panic.
+//! escapes straight into its output buffer, and writes a [`Value`] in place
+//! rather than a copy of it. The reader copies each run of string bytes up
+//! to the next `"` or `\` in one step and validates only that run, so a
+//! document costs its length, whatever its strings hold. [`parse`] builds
+//! the [`Value`] tree once; [`from_str`] then converts it, which for
+//! `T = Value` is a second, cloned tree. Numbers must follow RFC 8259's
+//! grammar (no leading zeros, digits on both sides of a `.`), and a `\u`
+//! escape takes exactly four hex digits. A `\u` surrogate pair decodes to
+//! one character, as RFC 8259 writes non-BMP characters; a lone or reversed
+//! surrogate is an error. Every malformed input is a typed [`Error`], never
+//! a panic.
 
 use std::fmt::Write as _;
-use std::io::{Read, Write};
 
 use serde::{Deserialize, Serialize};
 pub use serde::{Error, Value};
@@ -34,23 +40,20 @@ pub fn from_value<T: Deserialize>(value: &Value) -> Result<T> {
 /// Serialize to a compact JSON string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
+    write_value(&mut out, &value.as_value(), None, 0);
     Ok(out)
 }
 
 /// Serialize to an indented JSON string.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
+    write_value(&mut out, &value.as_value(), Some(2), 0);
     Ok(out)
 }
 
-/// Serialize compactly into a writer.
-pub fn to_writer<W: Write, T: Serialize + ?Sized>(mut writer: W, value: &T) -> Result<()> {
-    let s = to_string(value)?;
-    writer
-        .write_all(s.as_bytes())
-        .map_err(|e| Error::msg(format!("io error: {e}")))
+/// Serialize to compact JSON bytes.
+pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
+    to_string(value).map(String::into_bytes)
 }
 
 /// Deserialize from a JSON string.
@@ -59,13 +62,11 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
     T::from_value(&value)
 }
 
-/// Deserialize from a reader (reads to end first).
-pub fn from_reader<R: Read, T: Deserialize>(mut reader: R) -> Result<T> {
-    let mut buf = String::new();
-    reader
-        .read_to_string(&mut buf)
-        .map_err(|e| Error::msg(format!("io error: {e}")))?;
-    from_str(&buf)
+/// Deserialize from JSON bytes, which must be UTF-8.
+pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T> {
+    let text = std::str::from_utf8(bytes)
+        .map_err(|e| Error::msg(format!("invalid utf8 at byte {}", e.valid_up_to())))?;
+    from_str(text)
 }
 
 /// Build a [`Value`] from JSON-ish syntax. Object values and array elements
@@ -420,11 +421,12 @@ impl<'a> Parser<'a> {
             .bytes
             .get(at..at + 4)
             .ok_or_else(|| Error::msg("truncated \\u escape"))?;
-        u32::from_str_radix(
-            std::str::from_utf8(hex).map_err(|_| Error::msg("non-utf8 \\u escape"))?,
-            16,
-        )
-        .map_err(|_| Error::msg("bad \\u escape"))
+        let hex = std::str::from_utf8(hex).map_err(|_| Error::msg("non-utf8 \\u escape"))?;
+        // `from_str_radix` alone would also take a sign (`\u+041`)
+        if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(Error::msg("bad \\u escape"));
+        }
+        u32::from_str_radix(hex, 16).map_err(|_| Error::msg("bad \\u escape"))
     }
 
     /// After a high surrogate's last hex digit: consume a following
@@ -443,20 +445,16 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<Value> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        let continues = |b: u8| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-');
+        let scanned = self.rfc_number();
+        let Some(is_float) = scanned.filter(|_| !self.peek().is_some_and(continues)) else {
+            // report the whole run, so `1.2.3` is one bad number
+            while self.peek().is_some_and(continues) {
+                self.pos += 1;
             }
-        }
+            let run = String::from_utf8_lossy(&self.bytes[start..self.pos]);
+            return Err(Error::msg(format!("bad number `{run}`")));
+        };
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| Error::msg("invalid utf8 in number"))?;
         if !is_float {
@@ -470,6 +468,46 @@ impl<'a> Parser<'a> {
         text.parse::<f64>()
             .map(Value::F64)
             .map_err(|_| Error::msg(format!("bad number `{text}`")))
+    }
+
+    /// Consume RFC 8259's `number`,
+    /// `-`? (`0` | [1-9][0-9]*) (`.` [0-9]+)? ([eE] [+-]? [0-9]+)?,
+    /// and say whether it has a fraction or an exponent. `None` when the
+    /// grammar fails: Rust's float parser alone would also take `01`, `1.`
+    /// and `1.e5`.
+    fn rfc_number(&mut self) -> Option<bool> {
+        self.eat_byte(b'-');
+        if !self.eat_byte(b'0') {
+            self.digits()?;
+        }
+        let fraction = self.eat_byte(b'.');
+        if fraction {
+            self.digits()?;
+        }
+        let exponent = self.eat_byte(b'e') || self.eat_byte(b'E');
+        if exponent {
+            let _ = self.eat_byte(b'+') || self.eat_byte(b'-');
+            self.digits()?;
+        }
+        Some(fraction || exponent)
+    }
+
+    /// Consume one or more digits.
+    fn digits(&mut self) -> Option<()> {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        (self.pos > start).then_some(())
+    }
+
+    /// Consume `b` if it is next.
+    fn eat_byte(&mut self, b: u8) -> bool {
+        let next = self.peek() == Some(b);
+        if next {
+            self.pos += 1;
+        }
+        next
     }
 }
 

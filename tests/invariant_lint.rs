@@ -107,27 +107,26 @@ fn bench_report_parses_under_serde_json_shim() {
     let a = analysis();
     let doc = glint_lint::report::bench_json(&a);
     let value: serde_json::Value = serde_json::from_str(&doc).expect("BENCH_lint.json must parse");
-    let map = value.as_map().expect("top level must be an object");
+    assert!(value.as_map().is_some(), "top level must be an object");
     let field = |name: &str| {
-        map.iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
+        value
+            .get(name)
             .unwrap_or_else(|| panic!("missing field `{name}` in BENCH_lint.json"))
     };
-    let graph = field("graph").as_map().expect("graph must be an object");
+    let graph = field("graph");
+    assert!(graph.as_map().is_some(), "graph must be an object");
     for key in ["files", "fns", "resolved_calls", "hot_fns"] {
         let v = graph
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_u64())
+            .get(key)
+            .and_then(|v| v.as_u64())
             .unwrap_or_else(|| panic!("graph.{key} must be a number"));
         assert!(v > 0, "graph.{key} must be positive");
     }
-    let census = field("census").as_map().expect("census must be an object");
+    let census = field("census");
+    assert!(census.as_map().is_some(), "census must be an object");
     let total = census
-        .iter()
-        .find(|(k, _)| k == "total_sites")
-        .and_then(|(_, v)| v.as_u64())
+        .get("total_sites")
+        .and_then(|v| v.as_u64())
         .expect("census.total_sites must be a number");
     assert_eq!(total as usize, a.census.sites.len());
     // The baseline gate reads the same document back.
@@ -137,13 +136,14 @@ fn bench_report_parses_under_serde_json_shim() {
     );
     // v3: the panic-surface certificate must be present, non-empty, and
     // readable by the same baseline helper the ratchet uses.
-    let surface = field("panic_surface")
-        .as_map()
-        .expect("panic_surface must be an object");
+    let surface = field("panic_surface");
+    assert!(
+        surface.as_map().is_some(),
+        "panic_surface must be an object"
+    );
     let panic_fns = surface
-        .iter()
-        .find(|(k, _)| k == "panic_fns")
-        .and_then(|(_, v)| v.as_u64())
+        .get("panic_fns")
+        .and_then(|v| v.as_u64())
         .expect("panic_surface.panic_fns must be a number");
     assert_eq!(panic_fns as usize, a.panic_surface.len());
     assert!(
@@ -166,18 +166,12 @@ fn committed_panic_surface_matches_fresh_run() {
         .expect("BENCH_lint.json must be committed at the workspace root");
     let value: serde_json::Value = serde_json::from_str(&doc).expect("BENCH_lint.json must parse");
     let committed: Vec<String> = value
-        .as_map()
-        .and_then(|m| m.iter().find(|(k, _)| k == "panic_surface"))
-        .and_then(|(_, v)| v.as_map())
-        .and_then(|m| m.iter().find(|(k, _)| k == "fns"))
-        .and_then(|(_, v)| v.as_seq())
+        .get("panic_surface")
+        .and_then(|s| s.get("fns"))
+        .and_then(|v| v.as_seq())
         .expect("panic_surface.fns must be an array")
         .iter()
-        .filter_map(|f| {
-            f.as_map()
-                .and_then(|m| m.iter().find(|(k, _)| k == "fn"))
-                .and_then(|(_, v)| v.as_str().map(str::to_string))
-        })
+        .filter_map(|f| f.get("fn").and_then(|v| v.as_str().map(str::to_string)))
         .collect();
     let fresh: Vec<String> = analysis()
         .panic_surface
@@ -267,9 +261,8 @@ fn census_covers_traced_allocation_counters() {
     };
     let value: serde_json::Value = serde_json::from_str(&doc).expect("BENCH_trace.json must parse");
     let counters = value
-        .as_map()
-        .and_then(|m| m.iter().find(|(k, _)| k == "counters"))
-        .and_then(|(_, v)| v.as_map())
+        .get("counters")
+        .and_then(|v| v.as_map())
         .expect("BENCH_trace.json must have counters");
     let alloc_ticks: u64 = counters
         .iter()

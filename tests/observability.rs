@@ -255,11 +255,10 @@ fn trace_capture_is_an_exact_oracle_and_exports_valid_json() {
         let json = glint_trace::export::to_json(&glint_trace::snapshot(), "observability_test");
         let value: serde_json::Value =
             serde_json::from_str(&json).expect("export must be valid JSON");
-        let map = value.as_map().expect("top level is an object");
+        assert!(value.as_map().is_some(), "top level is an object");
         let field = |name: &str| {
-            map.iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
+            value
+                .get(name)
                 .unwrap_or_else(|| panic!("export missing `{name}`"))
         };
         assert_eq!(field("run").as_str(), Some("observability_test"));
@@ -267,11 +266,10 @@ fn trace_capture_is_an_exact_oracle_and_exports_valid_json() {
             field("schema").as_u64(),
             Some(glint_trace::export::SCHEMA_VERSION)
         );
-        let counters = field("counters").as_map().expect("counters object");
-        let epochs_json = counters
-            .iter()
-            .find(|(k, _)| k == "train.epochs")
-            .and_then(|(_, v)| v.as_u64());
+        assert!(field("counters").as_map().is_some(), "counters object");
+        let epochs_json = field("counters")
+            .get("train.epochs")
+            .and_then(|v| v.as_u64());
         assert_eq!(epochs_json, Some(total_epochs));
         assert!(field("spans").as_map().is_some());
         assert!(field("histograms").as_map().is_some());
@@ -299,8 +297,8 @@ fn bench_trace_snapshot_file_is_valid_when_present() {
         };
         let value: serde_json::Value =
             serde_json::from_str(&text).expect("BENCH_trace.json is malformed");
-        let map = value.as_map().expect("top level must be an object");
-        let field = |name: &str| map.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+        assert!(value.as_map().is_some(), "top level must be an object");
+        let field = |name: &str| value.get(name);
         assert_eq!(
             field("schema").and_then(|v| v.as_u64()),
             Some(glint_trace::export::SCHEMA_VERSION),
@@ -338,8 +336,8 @@ fn bench_inference_snapshot_file_is_valid_when_present() {
         };
         let value: serde_json::Value =
             serde_json::from_str(&text).expect("BENCH_inference.json is malformed");
-        let map = value.as_map().expect("top level must be an object");
-        let field = |name: &str| map.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+        assert!(value.as_map().is_some(), "top level must be an object");
+        let field = |name: &str| value.get(name);
         assert_eq!(
             field("schema").and_then(|v| v.as_u64()),
             Some(glint_trace::export::SCHEMA_VERSION),
@@ -353,9 +351,8 @@ fn bench_inference_snapshot_file_is_valid_when_present() {
         }
         let counter = |name: &str| {
             field("counters")
-                .and_then(|v| v.as_map())
-                .and_then(|c| c.iter().find(|(k, _)| k == name))
-                .and_then(|(_, v)| v.as_u64())
+                .and_then(|c| c.get(name))
+                .and_then(|v| v.as_u64())
         };
         let allocs = counter("tensor.alloc.matrices")
             .expect("serving snapshot must report tensor.alloc.matrices");
@@ -369,11 +366,9 @@ fn bench_inference_snapshot_file_is_valid_when_present() {
             let trace: serde_json::Value =
                 serde_json::from_str(&trace_text).expect("BENCH_trace.json is malformed");
             let baseline = trace
-                .as_map()
-                .and_then(|m| m.iter().find(|(k, _)| k == "counters"))
-                .and_then(|(_, v)| v.as_map())
-                .and_then(|c| c.iter().find(|(k, _)| k == "tensor.alloc.matrices"))
-                .and_then(|(_, v)| v.as_u64());
+                .get("counters")
+                .and_then(|c| c.get("tensor.alloc.matrices"))
+                .and_then(|v| v.as_u64());
             if let Some(base) = baseline {
                 assert!(
                     allocs * 10 <= base,
@@ -401,8 +396,8 @@ fn bench_serve_snapshot_file_is_valid_when_present() {
     };
     let value: serde_json::Value =
         serde_json::from_str(&text).expect("BENCH_serve.json is malformed");
-    let map = value.as_map().expect("top level must be an object");
-    let field = |name: &str| map.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+    assert!(value.as_map().is_some(), "top level must be an object");
+    let field = |name: &str| value.get(name);
     assert_eq!(
         field("schema").and_then(|v| v.as_u64()),
         Some(1),
@@ -420,13 +415,12 @@ fn bench_serve_snapshot_file_is_valid_when_present() {
         "qps must be present and positive"
     );
     let latency = field("latency_ms")
-        .and_then(|v| v.as_map())
+        .filter(|v| v.as_map().is_some())
         .expect("latency_ms section missing");
     let pctl = |name: &str| {
         latency
-            .iter()
-            .find(|(k, _)| k == name)
-            .and_then(|(_, v)| v.as_f64())
+            .get(name)
+            .and_then(|v| v.as_f64())
             .unwrap_or(f64::NAN)
     };
     let (p50, p95, p99) = (pctl("p50"), pctl("p95"), pctl("p99"));
@@ -442,13 +436,12 @@ fn bench_serve_snapshot_file_is_valid_when_present() {
         "recorded p95 {p95} ms exceeds the committed budget {budget} ms"
     );
     let requests = field("requests")
-        .and_then(|v| v.as_map())
+        .filter(|v| v.as_map().is_some())
         .expect("requests section missing");
     let req = |name: &str| {
         requests
-            .iter()
-            .find(|(k, _)| k == name)
-            .and_then(|(_, v)| v.as_u64())
+            .get(name)
+            .and_then(|v| v.as_u64())
             .unwrap_or_else(|| panic!("requests.{name} missing"))
     };
     assert_eq!(
@@ -458,8 +451,8 @@ fn bench_serve_snapshot_file_is_valid_when_present() {
     );
     assert!(
         field("degraded")
-            .and_then(|v| v.as_map())
-            .is_some_and(|d| d.iter().any(|(k, _)| k == "drift_only")),
+            .and_then(|d| d.get("drift_only"))
+            .is_some(),
         "degraded section must break out the drift_only rung"
     );
 }
@@ -480,8 +473,8 @@ fn bench_scale_snapshot_file_is_valid_when_present() {
     };
     let value: serde_json::Value =
         serde_json::from_str(&text).expect("BENCH_scale.json is malformed");
-    let map = value.as_map().expect("top level must be an object");
-    let field = |name: &str| map.iter().find(|(k, _)| k == name).map(|(_, v)| v);
+    assert!(value.as_map().is_some(), "top level must be an object");
+    let field = |name: &str| value.get(name);
     assert_eq!(
         field("schema").and_then(|v| v.as_u64()),
         Some(1),
@@ -500,13 +493,12 @@ fn bench_scale_snapshot_file_is_valid_when_present() {
     );
 
     let counters = field("counters")
-        .and_then(|v| v.as_map())
+        .filter(|v| v.as_map().is_some())
         .expect("counters section missing");
     let counter = |name: &str| {
         counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .and_then(|(_, v)| v.as_u64())
+            .get(name)
+            .and_then(|v| v.as_u64())
             .unwrap_or_else(|| panic!("counters.{name} missing"))
     };
     assert_eq!(
@@ -525,13 +517,12 @@ fn bench_scale_snapshot_file_is_valid_when_present() {
     );
 
     let latency = field("latency_ms")
-        .and_then(|v| v.as_map())
+        .filter(|v| v.as_map().is_some())
         .expect("latency_ms section missing");
     let pctl = |name: &str| {
         latency
-            .iter()
-            .find(|(k, _)| k == name)
-            .and_then(|(_, v)| v.as_f64())
+            .get(name)
+            .and_then(|v| v.as_f64())
             .unwrap_or(f64::NAN)
     };
     let (p50, p95, p99) = (pctl("p50"), pctl("p95"), pctl("p99"));
@@ -544,12 +535,11 @@ fn bench_scale_snapshot_file_is_valid_when_present() {
         "peak RSS must be recorded"
     );
     let ratchet = field("ratchet")
-        .and_then(|v| v.as_map())
+        .filter(|v| v.as_map().is_some())
         .expect("ratchet section missing");
-    assert!(
-        ratchet
-            .iter()
-            .any(|(k, v)| k == "pass" && matches!(v, serde_json::Value::Bool(true))),
+    assert_eq!(
+        ratchet.get("pass"),
+        Some(&serde_json::Value::Bool(true)),
         "the committed snapshot must record a passing ratchet"
     );
 }
@@ -574,14 +564,11 @@ fn non_finite_histogram_samples_export_as_null() {
         );
         let value: serde_json::Value = serde_json::from_str(&json).expect("valid JSON");
         let hist = value
-            .as_map()
-            .and_then(|m| m.iter().find(|(k, _)| k == "histograms"))
-            .and_then(|(_, v)| v.as_map())
-            .and_then(|m| m.iter().find(|(k, _)| k == "synthetic.values"))
-            .and_then(|(_, v)| v.as_map())
+            .get("histograms")
+            .and_then(|h| h.get("synthetic.values"))
+            .filter(|h| h.as_map().is_some())
             .expect("synthetic.values histogram present");
-        let get = |name: &str| hist.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        assert_eq!(get("count").and_then(|v| v.as_u64()), Some(1));
-        assert_eq!(get("nonfinite").and_then(|v| v.as_u64()), Some(2));
+        assert_eq!(hist.get("count").and_then(|v| v.as_u64()), Some(1));
+        assert_eq!(hist.get("nonfinite").and_then(|v| v.as_u64()), Some(2));
     });
 }

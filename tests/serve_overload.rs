@@ -147,17 +147,8 @@ fn score_body(graph: &InteractionGraph, deadline_ms: u64) -> Value {
     json!({ "graph": serde_json::to_value(graph), "deadline_ms": deadline_ms })
 }
 
-fn body_field<'a>(body: &'a Value, name: &str) -> Option<&'a Value> {
-    body.as_map()?
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-}
-
 fn metric_u64(metrics: &Value, name: &str) -> u64 {
-    body_field(metrics, name)
-        .and_then(Value::as_u64)
-        .unwrap_or(0)
+    metrics.get(name).and_then(Value::as_u64).unwrap_or(0)
 }
 
 #[test]
@@ -250,7 +241,7 @@ fn saturated_queue_sheds_with_429_and_answers_every_accepted_request() {
             200 => {
                 // accepted under deadline pressure: must ride the ladder
                 assert_eq!(
-                    body_field(&body, "degradation").and_then(Value::as_str),
+                    body.get("degradation").and_then(Value::as_str),
                     Some("drift_only"),
                     "deadline-pressured request must answer on the drift-only rung"
                 );
@@ -300,22 +291,22 @@ fn deadline_pressure_degrades_to_drift_only_with_a_reason() {
         client::post(&addr, "/score", &score_body(&fx.graphs[0], 500)).expect("scored");
     assert_eq!(status, 200);
     assert_eq!(
-        body_field(&body, "degradation").and_then(Value::as_str),
+        body.get("degradation").and_then(Value::as_str),
         Some("drift_only")
     );
-    let reason = body_field(&body, "reason")
-        .and_then(Value::as_str)
-        .unwrap_or("");
+    let reason = body.get("reason").and_then(Value::as_str).unwrap_or("");
     assert!(
         reason.contains("deadline"),
         "drift-only reason must name the deadline, got: {reason}"
     );
     // degraded answers still carry usable evidence
-    let probability = body_field(&body, "threat_probability")
+    let probability = body
+        .get("threat_probability")
         .and_then(Value::as_f64)
         .expect("drift-only verdict carries a pseudo-probability");
     assert!((0.0..=1.0).contains(&probability));
-    assert!(body_field(&body, "drift_degree")
+    assert!(body
+        .get("drift_degree")
         .and_then(Value::as_f64)
         .is_some_and(f64::is_finite));
     server.shutdown();
@@ -353,8 +344,9 @@ fn worker_panic_is_contained_respawned_and_other_requests_survive() {
         .find(|(s, _)| *s == 500)
         .map(|(_, b)| b.clone())
         .expect("victim body");
-    let kind = body_field(&victim, "error")
-        .and_then(|e| body_field(e, "kind"))
+    let kind = victim
+        .get("error")
+        .and_then(|e| e.get("kind"))
         .and_then(Value::as_str)
         .unwrap_or("");
     assert_eq!(
@@ -392,7 +384,7 @@ fn malformed_requests_get_typed_400s_not_hangs() {
     // not JSON at all
     let (status, body) = client::post(&addr, "/score", &json!("not an object")).expect("answered");
     assert_eq!(status, 400);
-    assert!(body_field(&body, "error").is_some());
+    assert!(body.get("error").is_some());
     // JSON object but no graph
     let (status, _) =
         client::post(&addr, "/score", &json!({ "deadline_ms": 10u64 })).expect("answered");
@@ -412,7 +404,7 @@ fn malformed_requests_get_typed_400s_not_hangs() {
     )
     .expect("answered");
     assert_eq!(status, 200);
-    assert_eq!(body_field(&body, "stored").and_then(Value::as_u64), Some(1));
+    assert_eq!(body.get("stored").and_then(Value::as_u64), Some(1));
     server.shutdown();
 }
 
@@ -447,8 +439,9 @@ fn string_heavy_body_gets_a_typed_400_in_linear_time() {
     let (status, reply) = client::read_response(&mut stream).expect("answered within 20 s");
     let elapsed = started.elapsed();
     assert_eq!(status, 400, "{reply:?}");
-    let kind = body_field(&reply, "error")
-        .and_then(|e| body_field(e, "kind"))
+    let kind = reply
+        .get("error")
+        .and_then(|e| e.get("kind"))
         .and_then(Value::as_str);
     assert_eq!(kind, Some("bad_graph"));
     assert!(
@@ -484,9 +477,6 @@ fn feedback_note_with_a_surrogate_pair_is_stored() {
     stream.write_all(request.as_bytes()).expect("written");
     let (status, reply) = client::read_response(&mut stream).expect("answered");
     assert_eq!(status, 200, "{reply:?}");
-    assert_eq!(
-        body_field(&reply, "stored").and_then(Value::as_u64),
-        Some(1)
-    );
+    assert_eq!(reply.get("stored").and_then(Value::as_u64), Some(1));
     server.shutdown();
 }
